@@ -18,15 +18,8 @@ from .config import (
     load_manifest,
 )
 from .channel import ChannelMatrix, element_index, sample_channel, stream_rng
-from .mapping import Codebook, Codeword, SymbolLabeling, build_combination_table
-from .encoder import (
-    EncodeError,
-    ReflectionVector,
-    encode,
-    encode_diversity,
-    encode_mux_apsk,
-    encode_mux_psk,
-)
+from .mapping import Codebook, Codeword, build_combination_table
+from .encoder import EncodeError, ReflectionVector, encode
 from .detector import (
     BitErrorCounts,
     EquivalentChannel,
@@ -88,7 +81,6 @@ __all__ = [
     "ReflectionVector",
     "Scheme",
     "SweepManifest",
-    "SymbolLabeling",
     "SystemConfig",
     "TheoryError",
     "UnionBoundResult",
@@ -101,9 +93,6 @@ __all__ = [
     "detect_ml",
     "element_index",
     "encode",
-    "encode_diversity",
-    "encode_mux_apsk",
-    "encode_mux_psk",
     "load_config",
     "load_manifest",
     "merge_theory",

@@ -40,17 +40,18 @@ def stream_rng(seed: int, stream: int, counter: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
-    """One ``n_rx x n_elements`` Rayleigh realization."""
+    """One ``n_rx x n_elements`` Rayleigh realization, or a batch of them
+    stacked along leading axes of ``gains``."""
 
     gains: np.ndarray
 
     @property
     def n_rx(self) -> int:
-        return self.gains.shape[0]
+        return self.gains.shape[-2]
 
     @property
     def n_elements(self) -> int:
-        return self.gains.shape[1]
+        return self.gains.shape[-1]
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -62,12 +63,12 @@ class ChannelMatrix:
         return -np.angle(self.gains)
 
     def group_view(self, n_active: int) -> np.ndarray:
-        """Reshape columns into RIS groups: ``(n_rx, n_active, group_size)``."""
+        """Reshape columns into RIS groups: ``(..., n_rx, n_active, group_size)``."""
         if self.n_elements % n_active != 0:
             raise ValueError(
                 f"{self.n_elements} elements do not split into {n_active} groups"
             )
-        return self.gains.reshape(self.n_rx, n_active, self.n_elements // n_active)
+        return self.gains.reshape(*self.gains.shape[:-1], n_active, -1)
 
     # binary fixture format: uint64-LE dims header, then row-major
     # (re, im) float64-LE pairs.
@@ -94,12 +95,13 @@ class ChannelMatrix:
         return cls(gains=pairs[..., 0] + 1j * pairs[..., 1])
 
 
-def sample_gains(n_rx: int, n_elements: int, rng: np.random.Generator) -> np.ndarray:
-    re = rng.standard_normal((n_rx, n_elements))
-    im = rng.standard_normal((n_rx, n_elements))
+def sample_gains(shape, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. CN(0, 1) entries; all real parts are drawn before all imaginary parts."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
     return (re + 1j * im) / np.sqrt(2.0)
 
 
 def sample_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelMatrix:
     """Draw one i.i.d. CN(0, 1) channel realization."""
-    return ChannelMatrix(gains=sample_gains(config.n_rx, config.n_elements, rng))
+    return ChannelMatrix(gains=sample_gains((config.n_rx, config.n_elements), rng))

@@ -314,18 +314,25 @@ _CONFIG_KEYS = {
 }
 
 
+def _snr_values(values) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"snr_db values must be numbers: {exc}") from exc
+
+
 def _snr_grid(raw) -> tuple[float, ...]:
     if isinstance(raw, dict):
         missing = {"start", "stop", "step"} - raw.keys()
         if missing:
             raise ConfigError(f"snr_db range needs keys start/stop/step, missing {missing}")
-        start, stop, step = float(raw["start"]), float(raw["stop"]), float(raw["step"])
+        start, stop, step = _snr_values((raw["start"], raw["stop"], raw["step"]))
         if step <= 0 or stop < start:
             raise ConfigError("snr_db range must have step > 0 and stop >= start")
         count = int(round((stop - start) / step)) + 1
         return tuple(start + i * step for i in range(count))
     if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
+        return tuple(_snr_values(raw))
     raise ConfigError(f"snr_db must be a list or a start/stop/step mapping, got {raw!r}")
 
 
@@ -346,11 +353,17 @@ def config_from_mapping(data: dict[str, Any]) -> SystemConfig:
     return cfg.validate()
 
 
+def _read_yaml(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
+
+
 def load_config(path) -> SystemConfig:
     """Load a single-curve YAML config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    return config_from_mapping(data)
+    return config_from_mapping(_read_yaml(path))
 
 
 def load_manifest(path) -> SweepManifest:
@@ -359,8 +372,7 @@ def load_manifest(path) -> SweepManifest:
     Top-level keys act as shared defaults; each entry under ``curves``
     must carry a unique ``label`` and may override any config key.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    data = _read_yaml(path)
     if not isinstance(data, dict) or "curves" not in data:
         raise ConfigError("manifest must be a mapping with a 'curves' list")
     shared = {k: v for k, v in data.items() if k != "curves"}

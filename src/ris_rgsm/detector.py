@@ -47,16 +47,21 @@ def transmit(
 
     ``carrier`` is the modulated symbol on the incident wave (unit for the
     MUX and RGSSK schemes, the shared constellation symbol for diversity).
+    Batched reflections, channels and carriers give one received vector per
+    trial, with the noise of all trials drawn in one call.
     """
     n0 = noise_variance(snr_db, symbol_energy)
-    clean = np.sqrt(symbol_energy) * (channel.gains @ reflection.coefficients) * carrier
-    n_rx = channel.n_rx
+    n_active = np.shape(reflection.active)[-1]
+    clean = np.einsum(
+        "...nik,...ik->...n", channel.group_view(n_active), reflection.group_view(n_active)
+    )
+    clean *= np.sqrt(symbol_energy) * np.asarray(carrier)[..., None]
     if n0 > 0:
         noise = np.sqrt(n0 / 2.0) * (
-            rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
+            rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
         )
     else:
-        noise = np.zeros(n_rx, dtype=complex)
+        noise = np.zeros(clean.shape, dtype=complex)
     return ReceivedVector(samples=clean + noise, noise_var=n0)
 
 
@@ -64,30 +69,24 @@ def transmit(
 class EquivalentChannel:
     """Reflected group sums for every steering target.
 
-    ``tensor[n, i, a]`` is the sum over group ``i``'s elements of the channel
-    to antenna ``n`` times the conjugated phase toward antenna ``a`` (all
-    0-based).  For ``a == n`` the entry is the real, positive amplitude sum.
+    ``tensor[..., n, i, a]`` is the sum over group ``i``'s elements of the
+    channel to antenna ``n`` times the conjugated phase toward antenna ``a``
+    (all 0-based).  For ``a == n`` the entry is the real, positive amplitude
+    sum.  Leading axes, if any, index trials.
 
-    ``ring_tensor[n, i, a, r]`` restricts the sum to the elements a ring-``r``
-    hypothesis leaves ON, so the receiver can match partially activated
-    groups exactly; the last ring slice is the full-group ``tensor``.
+    ``ring_tensor[..., n, i, a, r]`` restricts the sum to the elements a
+    ring-``r`` hypothesis leaves ON, so the receiver can match partially
+    activated groups exactly; the last ring slice is the full-group ``tensor``.
     """
 
     tensor: np.ndarray
     ring_tensor: np.ndarray
 
-    def response(self, combination, symbols) -> np.ndarray:
-        """Noiseless receive vector under the equivalent-symbol model."""
-        rows = np.asarray(combination) - 1
-        n_active = rows.size
-        h = self.tensor[:, np.arange(n_active), rows]
-        return h @ np.asarray(symbols)
-
     def matched_response(self, combination, waves, rings) -> np.ndarray:
         """Noiseless receive vector with ring-matched partial sums."""
         rows = np.asarray(combination) - 1
         n_active = rows.size
-        h = self.ring_tensor[:, np.arange(n_active), rows, np.asarray(rings)]
+        h = self.ring_tensor[..., np.arange(n_active), rows, np.asarray(rings)]
         return h @ np.asarray(waves)
 
 
@@ -96,10 +95,10 @@ def precompute_equivalent_channel(
 ) -> EquivalentChannel:
     grouped = channel.group_view(config.n_active)
     align = np.conj(grouped) / np.abs(grouped)
-    ring_size = config.n_group // config.ring_count
-    chunks = grouped.reshape(config.n_rx, config.n_active, config.ring_count, ring_size)
-    align_chunks = align.reshape(config.n_rx, config.n_active, config.ring_count, ring_size)
-    per_ring = np.einsum("nick,aick->niac", chunks, align_chunks)
+    chunked = grouped.shape[:-1] + (config.ring_count, config.n_group // config.ring_count)
+    per_ring = np.einsum(
+        "...nick,...aick->...niac", grouped.reshape(chunked), align.reshape(chunked)
+    )
     ring_tensor = np.cumsum(per_ring, axis=-1)
     return EquivalentChannel(tensor=ring_tensor[..., -1], ring_tensor=ring_tensor)
 
@@ -109,18 +108,28 @@ def hypothesis_matrix(equiv: EquivalentChannel, codebook: Codebook) -> np.ndarra
 
     Uses the ring-matched model, so the entry for the transmitted codeword
     equals the physical noiseless signal exactly (every scheme).  Returns a
-    ``(n_rx, n_combinations, symbols_per_row)`` complex array.
+    ``(..., n_rx, n_combinations, symbols_per_row)`` complex array.
     """
     combos = codebook.combinations
-    n_active = combos.shape[1]
-    n_rx = equiv.tensor.shape[0]
-    count = codebook.symbols_per_row
-    predicted = np.zeros((n_rx, combos.shape[0], count), dtype=complex)
-    for i in range(n_active):
-        steered = equiv.ring_tensor[:, i, combos[:, i] - 1, :]  # (n_rx, rows, rings)
-        gathered = steered[:, :, codebook.group_rings[:, i]]  # (n_rx, rows, count)
-        predicted += gathered * codebook.group_waves[None, None, :, i]
+    ring_tensor = equiv.ring_tensor
+    shape = ring_tensor.shape[:-3] + (combos.shape[0], codebook.symbols_per_row)
+    predicted = np.zeros(shape, dtype=complex)
+    for i in range(combos.shape[1]):
+        steered = ring_tensor[..., i, combos[:, i] - 1, :]  # (..., n_rx, rows, rings)
+        gathered = steered[..., codebook.group_rings[:, i]]  # (..., n_rx, rows, count)
+        predicted += gathered * codebook.group_waves[:, i]
     return predicted
+
+
+def ml_argmin(samples: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """Codeword index minimizing the Euclidean metric, per trial.
+
+    ``samples`` is ``(..., n_rx)`` and ``predicted`` the matching
+    :func:`hypothesis_matrix`; ties break toward the lowest index.
+    """
+    deltas = samples[..., None, None] - predicted
+    metric = np.einsum("...nrq,...nrq->...rq", deltas, np.conj(deltas)).real
+    return np.argmin(metric.reshape(*metric.shape[:-2], -1), axis=-1)
 
 
 def detect_ml(
@@ -131,11 +140,7 @@ def detect_ml(
     Ties break toward the lowest codeword index (row-major over combination
     rows then symbol indices), which makes detection deterministic.
     """
-    predicted = hypothesis_matrix(equiv, codebook)
-    deltas = received.samples[:, None, None] - predicted
-    metric = np.einsum("nrq,nrq->rq", deltas, np.conj(deltas)).real
-    best = int(np.argmin(metric.ravel()))
-    return codebook.codeword(best)
+    return codebook.codeword(ml_argmin(received.samples, hypothesis_matrix(equiv, codebook)))
 
 
 class BitErrorCounts(NamedTuple):
@@ -145,12 +150,13 @@ class BitErrorCounts(NamedTuple):
 
 
 def count_bit_errors(tx_bits, rx_bits, n_spatial: int = 0) -> BitErrorCounts:
-    """Hamming distance, split into spatial-selection and symbol bits."""
-    tx = np.asarray(tx_bits, dtype=np.uint8).ravel()
-    rx = np.asarray(rx_bits, dtype=np.uint8).ravel()
-    if tx.size != rx.size:
-        raise ValueError(f"bit strings differ in length: {tx.size} vs {rx.size}")
+    """Hamming distance over ``(..., rate)`` bit arrays, split into
+    spatial-selection (the first ``n_spatial`` of each row) and symbol bits."""
+    tx = np.asarray(tx_bits, dtype=np.uint8)
+    rx = np.asarray(rx_bits, dtype=np.uint8)
+    if tx.shape != rx.shape:
+        raise ValueError(f"bit strings differ in length or shape: {tx.shape} vs {rx.shape}")
     diff = tx != rx
-    spatial = int(np.count_nonzero(diff[:n_spatial]))
+    spatial = int(np.count_nonzero(diff[..., :n_spatial]))
     total = int(np.count_nonzero(diff))
     return BitErrorCounts(total=total, spatial=spatial, symbol=total - spatial)

@@ -23,75 +23,44 @@ class EncodeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ReflectionVector:
-    """Length-``n_elements`` reflection coefficients plus group metadata."""
+    """Length-``n_elements`` reflection coefficients plus group metadata.
+
+    A batch of vectors carries the same leading axes on every field.
+    """
 
     coefficients: np.ndarray
     phases: np.ndarray
     active: np.ndarray
 
     def group_view(self, n_active: int) -> np.ndarray:
-        return self.coefficients.reshape(n_active, -1)
-
-
-def _steering_phasors(codeword: Codeword, channel: ChannelMatrix, config: SystemConfig):
-    # unit phasors cancelling the channel phase toward each group's antenna
-    grouped = channel.group_view(config.n_active)
-    rows = np.asarray(codeword.combination) - 1
-    toward = grouped[rows, np.arange(config.n_active), :]
-    return np.conj(toward) / np.abs(toward)
-
-
-def _build(codeword: Codeword, channel: ChannelMatrix, config: SystemConfig) -> ReflectionVector:
-    steer = _steering_phasors(codeword, channel, config)
-    rotation = np.exp(1j * codeword.phases)[:, None]
-    mask = np.arange(config.n_group)[None, :] < codeword.active[:, None]
-    coefficients = (steer * rotation * mask).ravel()
-    return ReflectionVector(
-        coefficients=coefficients,
-        phases=codeword.phases.copy(),
-        active=codeword.active.copy(),
-    )
-
-
-def encode_diversity(codeword: Codeword, channel: ChannelMatrix, config: SystemConfig) -> ReflectionVector:
-    """Pure phase cancellation; the group sum at each selected antenna is
-    real and positive.  Valid for the diversity and RGSSK schemes (the
-    modulated symbol, if any, rides on the carrier)."""
-    if config.scheme not in (Scheme.DIVERSITY, Scheme.RGSSK):
-        raise EncodeError(f"diversity encoder given scheme {config.scheme.value}")
-    return _build(codeword, channel, config)
-
-
-def encode_mux_psk(codeword: Codeword, channel: ChannelMatrix, config: SystemConfig) -> ReflectionVector:
-    """Phase cancellation plus a per-group rotation carrying the symbol."""
-    if config.scheme is not Scheme.MUX_PSK:
-        raise EncodeError(f"mux_psk encoder given scheme {config.scheme.value}")
-    return _build(codeword, channel, config)
-
-
-def encode_mux_apsk(codeword: Codeword, channel: ChannelMatrix, config: SystemConfig) -> ReflectionVector:
-    """Rotation as for PSK, plus amplitude via the per-group ON count:
-    only the first ``active`` elements of a group reflect, the rest are 0."""
-    if config.scheme is not Scheme.MUX_APSK:
-        raise EncodeError(f"mux_apsk encoder given scheme {config.scheme.value}")
-    allowed = config.n_group // config.ring_count
-    if np.any(codeword.active % allowed) or np.any(codeword.active < allowed) or np.any(
-        codeword.active > config.n_group
-    ):
-        raise EncodeError(
-            f"active counts {codeword.active} not multiples of {allowed} within group"
-        )
-    return _build(codeword, channel, config)
-
-
-_ENCODERS = {
-    Scheme.DIVERSITY: encode_diversity,
-    Scheme.RGSSK: encode_diversity,
-    Scheme.MUX_PSK: encode_mux_psk,
-    Scheme.MUX_APSK: encode_mux_apsk,
-}
+        return self.coefficients.reshape(*self.coefficients.shape[:-1], n_active, -1)
 
 
 def encode(codeword: Codeword, channel: ChannelMatrix, config: SystemConfig) -> ReflectionVector:
-    """Scheme-dispatching encoder."""
-    return _ENCODERS[config.scheme](codeword, channel, config)
+    """Steer each group at its selected antenna, rotate it by its phase and
+    switch on only its first ``active`` elements.
+
+    Pure phase cancellation (diversity, RGSSK) is the zero-rotation,
+    full-group case.  A codeword and channel built from index and gain
+    arrays with a leading batch axis encode one vector per trial.
+    """
+    active = np.asarray(codeword.active)
+    if config.scheme is Scheme.MUX_APSK:
+        allowed = config.n_group // config.ring_count
+        if np.any(active % allowed) or np.any(active < allowed) or np.any(active > config.n_group):
+            raise EncodeError(
+                f"active counts {active} not multiples of {allowed} within group"
+            )
+    # unit phasors cancelling the channel phase toward each group's antenna
+    rows = np.asarray(codeword.combination) - 1
+    grouped = channel.group_view(config.n_active)
+    toward = np.take_along_axis(grouped, rows[..., None, :, None], axis=-3)[..., 0, :, :]
+    steer = np.conj(toward) / np.abs(toward)
+    rotation = np.exp(1j * np.asarray(codeword.phases))[..., None]
+    mask = np.arange(config.n_group) < active[..., None]
+    coefficients = steer * rotation * mask
+    return ReflectionVector(
+        coefficients=coefficients.reshape(*coefficients.shape[:-2], -1),
+        phases=np.array(codeword.phases),
+        active=active.copy(),
+    )

@@ -39,37 +39,6 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
 
 
-def bits_to_int(bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
-class SymbolLabeling:
-    """Bidirectional maps between bit labels and constellation indices.
-
-    Phase labels are Gray coded (adjacent phase indices differ in one bit,
-    cyclically); ring labels use natural binary with ring indices 1-based.
-    """
-
-    def __init__(self, phase_order: int, ring_count: int = 1):
-        self.phase_order = phase_order
-        self.ring_count = ring_count
-
-    def phase_index(self, label: int) -> int:
-        return gray_decode(label)
-
-    def phase_label(self, index: int) -> int:
-        return gray_encode(index)
-
-    def ring_index(self, label: int) -> int:
-        return label + 1
-
-    def ring_label(self, index: int) -> int:
-        return index - 1
-
-
 # -- constellations ------------------------------------------------------------
 
 
@@ -181,6 +150,8 @@ class Codeword:
     ``symbols`` are the equivalent received symbols with any stagger
     rotation already folded in; ``phases``/``active`` describe the physical
     group configuration driving the RIS (phase addition and ON count).
+    Built from an index array, every field is an array with that leading
+    shape (``combination`` then holds 1-based antenna rows).
     """
 
     index: int
@@ -191,9 +162,6 @@ class Codeword:
     phases: np.ndarray
     active: np.ndarray
     carrier: complex = 1.0 + 0j
-
-    def same_as(self, other: "Codeword") -> bool:
-        return self.index == other.index
 
 
 class Codebook:
@@ -215,7 +183,6 @@ class Codebook:
     def __init__(self, config: SystemConfig):
         config.validate()
         self.config = config
-        self.labeling = SymbolLabeling(config.phase_order, config.ring_count)
         self.combinations = build_combination_table(config)
         self.offsets = stagger_offsets(config)
         self._build_symbols()
@@ -251,14 +218,13 @@ class Codebook:
             for l in range(n_a):
                 for v in range(m):
                     mask = labels[:, l] == v
+                    # Gray-coded phase labels, natural-binary 0-based ring labels
                     if cfg.scheme is Scheme.MUX_PSK:
-                        k = self.labeling.phase_index(v)
+                        k = gray_decode(v)
                         phases[mask, l] = 2.0 * np.pi * k / m
                     else:
-                        phase_label = v >> cfg.ring_bits
-                        ring_label = v & (cfg.ring_count - 1)
-                        k = self.labeling.phase_index(phase_label)
-                        ring = self.labeling.ring_index(ring_label)
+                        k = gray_decode(v >> cfg.ring_bits)
+                        ring = (v & (cfg.ring_count - 1)) + 1
                         phases[mask, l] = 2.0 * np.pi * k / cfg.phase_order
                         rho[mask, l] = ring / cfg.ring_count
                         active[mask, l] = ring * (n_g // cfg.ring_count)
@@ -307,45 +273,41 @@ class Codebook:
     def size(self) -> int:
         return self.combinations.shape[0] * self.symbols_per_row
 
-    def codeword(self, index: int) -> Codeword:
-        if not 0 <= index < self.size:
+    def codeword(self, index) -> Codeword:
+        """Codeword of an index, or a batch of codewords for an index array."""
+        batch = np.ndim(index) > 0
+        index = np.asarray(index) if batch else int(index)
+        if np.count_nonzero((index < 0) | (index >= self.size)):
             raise IndexError(f"codeword index {index} outside codebook of size {self.size}")
         row, sym = divmod(index, self.symbols_per_row)
+        combination, carrier = self.combinations[row], self.carriers[sym]
+        if not batch:
+            combination, carrier = tuple(int(a) for a in combination), complex(carrier)
         return Codeword(
             index=index,
             row=row,
             symbol_index=sym,
-            combination=tuple(int(a) for a in self.combinations[row]),
+            combination=combination,
             symbols=self.group_symbols[sym],
             phases=self.group_phases[sym],
             active=self.group_active[sym],
-            carrier=complex(self.carriers[sym]),
+            carrier=carrier,
         )
 
     def map_bits(self, bits) -> Codeword:
-        """R-length bit string -> codeword (spatial bits first)."""
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
-        if bits.size != self.config.rate:
-            raise ConfigError(
-                f"expected {self.config.rate} bits, got {bits.size}"
-            )
-        return self.codeword(bits_to_int(bits))
+        """R-length bit string -> codeword (spatial bits first).
+
+        A ``(..., rate)`` bit array maps to a batch of codewords.
+        """
+        bits = np.asarray(bits, dtype=np.uint8)
+        rate = self.config.rate
+        if bits.shape[-1:] != (rate,):
+            raise ConfigError(f"expected {rate} bits, got shape {bits.shape}")
+        return self.codeword(bits @ (1 << np.arange(rate - 1, -1, -1)))
 
     def unmap(self, codeword: Codeword) -> np.ndarray:
         """Inverse of :meth:`map_bits`."""
-        if not 0 <= codeword.index < self.size:
-            raise ConfigError(f"codeword index {codeword.index} not in this codebook")
-        return self.bit_table[codeword.index].copy()
-
-    def indices_from_bits(self, bit_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (rows, symbol indices) for a (batch, rate) bit matrix."""
-        cfg = self.config
-        weights_row = 1 << np.arange(cfg.spatial_bits - 1, -1, -1)
-        rows = bit_matrix[:, : cfg.spatial_bits] @ weights_row
-        width = cfg.rate - cfg.spatial_bits
-        if width:
-            weights_sym = 1 << np.arange(width - 1, -1, -1)
-            syms = bit_matrix[:, cfg.spatial_bits :] @ weights_sym
-        else:
-            syms = np.zeros(bit_matrix.shape[0], dtype=np.int64)
-        return rows.astype(np.int64), syms.astype(np.int64)
+        index = codeword.index
+        if np.count_nonzero((index < 0) | (index >= self.size)):
+            raise ConfigError(f"codeword index {index} not in this codebook")
+        return self.bit_table[index].copy()

@@ -20,9 +20,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .channel import stream_rng
+from .channel import ChannelMatrix, sample_gains, stream_rng
 from .config import ConfigError, SweepManifest, SystemConfig
-from .detector import noise_variance
+from .detector import (
+    count_bit_errors,
+    hypothesis_matrix,
+    ml_argmin,
+    noise_variance,
+    precompute_equivalent_channel,
+    transmit,
+)
+from .encoder import encode
 from .mapping import Codebook
 from .theory import DEFAULT_PAIR_CEILING, union_bound_ber
 
@@ -89,62 +97,28 @@ def default_block_size(config: SystemConfig) -> int:
 
 
 def _block_counts(config: SystemConfig, snr_db: float, block_index: int, block_size: int):
-    """Simulate one trial block; returns (trials, total, spatial, symbol) errors."""
+    """Simulate one trial block; returns (trials, total, spatial, symbol) errors.
+
+    Each stage runs once on the whole block: the per-trial link-model
+    functions with a leading trial axis.
+    """
     cb = _cached_codebook(config)
     cfg = cb.config
     rng = stream_rng(cfg.seed, _snr_stream_key(snr_db), block_index)
-    batch = block_size
-    n_rx, n_act, n_grp = cfg.n_rx, cfg.n_active, cfg.n_group
-
-    bits = rng.integers(0, 2, size=(batch, cfg.rate), dtype=np.uint8)
-    re = rng.standard_normal((batch, n_rx, cfg.n_elements))
-    im = rng.standard_normal((batch, n_rx, cfg.n_elements))
-    grouped = ((re + 1j * im) / np.sqrt(2.0)).reshape(batch, n_rx, n_act, n_grp)
-
-    n0 = noise_variance(snr_db, cfg.symbol_energy)
-    if n0 > 0:
-        noise = np.sqrt(n0 / 2.0) * (
-            rng.standard_normal((batch, n_rx)) + 1j * rng.standard_normal((batch, n_rx))
-        )
-    else:
-        noise = 0.0
-
-    rows, syms = cb.indices_from_bits(bits)
-    align = np.conj(grouped) / np.abs(grouped)
-
-    # exact physical reflection (partial group activation for APSK)
-    antennas = cb.combinations[rows] - 1  # (batch, n_act)
-    steer = align[np.arange(batch)[:, None], antennas, np.arange(n_act)[None, :], :]
-    mask = np.arange(n_grp)[None, None, :] < cb.group_active[syms][:, :, None]
-    rotation = np.exp(1j * cb.group_phases[syms])
-    reflect = steer * rotation[..., None] * mask
-    clean = np.einsum("bnik,bik->bn", grouped, reflect)
-    clean *= np.sqrt(cfg.symbol_energy) * cb.carriers[syms][:, None]
-    received = clean + noise
-
-    # one ring-resolved equivalent-channel tensor per trial, shared by all
-    # hypotheses; the receiver matches partially activated groups exactly
-    ring_size = n_grp // cfg.ring_count
-    chunks = grouped.reshape(batch, n_rx, n_act, cfg.ring_count, ring_size)
-    align_chunks = align.reshape(batch, n_rx, n_act, cfg.ring_count, ring_size)
-    ring_tensor = np.cumsum(
-        np.einsum("bnick,baick->bniac", chunks, align_chunks), axis=-1
+    bits = rng.integers(0, 2, size=(block_size, cfg.rate), dtype=np.uint8)
+    codewords = cb.map_bits(bits)
+    channel = ChannelMatrix(sample_gains((block_size, cfg.n_rx, cfg.n_elements), rng))
+    received = transmit(
+        encode(codewords, channel, cfg),
+        channel,
+        snr_db,
+        rng,
+        carrier=codewords.carrier,
+        symbol_energy=cfg.symbol_energy,
     )
-    n_rows = cb.combinations.shape[0]
-    count = cb.symbols_per_row
-    predicted = np.zeros((batch, n_rx, n_rows, count), dtype=complex)
-    for i in range(n_act):
-        steered = ring_tensor[:, :, i, cb.combinations[:, i] - 1, :]
-        gathered = steered[:, :, :, cb.group_rings[:, i]]
-        predicted += gathered * cb.group_waves[None, None, None, :, i]
-    deltas = received[:, :, None, None] - predicted
-    metric = np.einsum("bnrq,bnrq->brq", deltas, np.conj(deltas)).real
-    detected = np.argmin(metric.reshape(batch, -1), axis=1)
-
-    diff = bits != cb.bit_table[detected]
-    total = int(np.count_nonzero(diff))
-    spatial = int(np.count_nonzero(diff[:, : cfg.spatial_bits]))
-    return batch, total, spatial, total - spatial
+    hypotheses = hypothesis_matrix(precompute_equivalent_channel(channel, cfg), cb)
+    detected = ml_argmin(received.samples, hypotheses)
+    return (block_size, *count_bit_errors(bits, cb.bit_table[detected], cfg.spatial_bits))
 
 
 def _block_job(payload):

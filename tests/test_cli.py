@@ -74,6 +74,26 @@ class TestValidateConfig:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate-config", "-c", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_malformed_yaml_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text(GOOD_CONFIG.replace("n_rx: 4", "n_rx: [5"))
+        assert main(["validate-config", "-c", str(path)]) == 2
+        assert "not valid YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["[a, 1]", "{start: a, stop: 1, step: 1}", "[[0], 1]"])
+    def test_non_numeric_snr_exits_two(self, tmp_path, capsys, grid):
+        path = tmp_path / "snr.yaml"
+        path.write_text(GOOD_CONFIG.replace("snr_db: [-14, -10]", f"snr_db: {grid}"))
+        assert main(["validate-config", "-c", str(path)]) == 2
+        assert "snr_db" in capsys.readouterr().err
+
+    def test_malformed_manifest_exits_two(self, tmp_path):
+        path = tmp_path / "manifest.yaml"
+        path.write_text(MANIFEST.replace("snr_db: [-26, -22, -18]", "snr_db: [-26, x]"))
+        assert main(["compare", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+        path.write_text(MANIFEST + "  - {label: broken\n")
+        assert main(["compare", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+
 
 class TestSimulateCommand:
     def test_writes_csv_and_summary(self, good_config, tmp_path):

@@ -104,7 +104,7 @@ class TestEquivalentChannel:
         assert abs(values.imag.var() - cfg.n_group / 2) < 0.05 * cfg.n_group
 
     def test_response_reproduces_noiseless_psk_transmit(self):
-        """Equivalent-symbol response equals the physical signal (full rings)."""
+        """Ring-matched response equals the physical signal (full rings)."""
         cfg = make_config()
         cb = Codebook(cfg)
         ch = sample_channel(cfg, stream_rng(2, 2))
@@ -112,7 +112,10 @@ class TestEquivalentChannel:
         for index in (0, 99, 475):
             cw = cb.codeword(index)
             rx = transmit(encode(cw, ch, cfg), ch, float("inf"), stream_rng(0, 0))
-            assert np.allclose(eq.response(cw.combination, cw.symbols), rx.samples)
+            waves = cb.group_waves[cw.symbol_index]
+            rings = cb.group_rings[cw.symbol_index]
+            assert np.allclose(waves, cw.symbols)
+            assert np.allclose(eq.matched_response(cw.combination, waves, rings), rx.samples)
 
     def test_matched_response_reproduces_apsk_transmit(self):
         """Ring-matched response equals the physical signal for partial rings."""
@@ -191,7 +194,9 @@ class TestDetectML:
             eq = precompute_equivalent_channel(ch, cfg)
             cw = cb.codeword(17)
             rx = transmit(encode(cw, ch, cfg), ch, snr_db, rng, carrier=cw.carrier)
-            truth = eq.response(cw.combination, cw.symbols)
+            truth = eq.matched_response(
+                cw.combination, cb.group_waves[cw.symbol_index], cb.group_rings[cw.symbol_index]
+            )
             residuals.append(np.sum(np.abs(rx.samples - truth) ** 2))
         expected = cfg.n_rx * n0
         assert abs(np.mean(residuals) - expected) < 0.1 * expected
@@ -246,15 +251,27 @@ class TestCountBitErrors:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             count_bit_errors([0, 1], [0, 1, 1])
+        with pytest.raises(ValueError, match="shape"):
+            count_bit_errors(np.zeros((2, 9)), np.zeros((3, 6)))
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=64), st.data())
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.lists(st.integers(0, 1), min_size=1, max_size=64),
+        st.data(),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_matches_reference(self, tx, data):
-        rx = data.draw(st.lists(st.integers(0, 1), min_size=len(tx), max_size=len(tx)))
-        split = data.draw(st.integers(min_value=0, max_value=len(tx)))
-        counts = count_bit_errors(tx, rx, split)
-        ref_total = sum(a != b for a, b in zip(tx, rx))
-        ref_spatial = sum(a != b for a, b in zip(tx[:split], rx[:split]))
+    def test_matches_reference(self, n_rows, row, data):
+        """Per-row reference counts, summed over a (rows, length) batch."""
+        width = len(row)
+        bit_rows = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+        tx = [row] + [data.draw(bit_rows) for _ in range(n_rows - 1)]
+        rx = [data.draw(bit_rows) for _ in range(n_rows)]
+        split = data.draw(st.integers(min_value=0, max_value=width))
+        ref_total = ref_spatial = 0
+        for t, r in zip(tx, rx):
+            ref_total += sum(a != b for a, b in zip(t, r))
+            ref_spatial += sum(a != b for a, b in zip(t[:split], r[:split]))
+        counts = count_bit_errors(tx if n_rows > 1 else tx[0], rx if n_rows > 1 else rx[0], split)
         assert counts.total == ref_total
         assert counts.spatial == ref_spatial
         assert counts.symbol == ref_total - ref_spatial

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from ris_rgsm import (
     Codebook,
+    Codeword,
     EncodeError,
     SystemConfig,
     encode,
-    encode_diversity,
-    encode_mux_apsk,
-    encode_mux_psk,
     sample_channel,
     stream_rng,
 )
@@ -37,7 +35,7 @@ class TestDiversityEncoder:
         cb = Codebook(cfg)
         ch = sample_channel(cfg, stream_rng(3, 0))
         cw = cb.codeword(2)
-        refl = encode_diversity(cw, ch, cfg)
+        refl = encode(cw, ch, cfg)
         for l, antenna in enumerate(cw.combination):
             value = group_sum(ch, refl, antenna, l, cfg.n_active)
             assert abs(value.imag) < 1e-9
@@ -54,7 +52,7 @@ class TestDiversityEncoder:
         draws = 10_000
         for _ in range(draws):
             ch = sample_channel(cfg, rng)
-            refl = encode_diversity(cw, ch, cfg)
+            refl = encode(cw, ch, cfg)
             acc += group_sum(ch, refl, cw.combination[0], 0, cfg.n_active).real
         assert abs(acc / draws - 32 * np.sqrt(np.pi)) < 0.5
 
@@ -69,15 +67,8 @@ class TestDiversityEncoder:
         draws = 10_000
         for _ in range(draws):
             ch = sample_channel(cfg, rng)
-            acc += group_sum(ch, encode_diversity(cw, ch, cfg), others[0], 0, cfg.n_active)
+            acc += group_sum(ch, encode(cw, ch, cfg), others[0], 0, cfg.n_active)
         assert abs(acc / draws) < 0.05 * np.sqrt(cfg.n_group)
-
-    def test_scheme_guard(self):
-        cfg = make_config()
-        cb = Codebook(cfg)
-        ch = sample_channel(cfg, stream_rng(3, 0))
-        with pytest.raises(EncodeError):
-            encode_diversity(cb.codeword(0), ch, cfg)
 
 
 class TestMuxPskEncoder:
@@ -88,8 +79,8 @@ class TestMuxPskEncoder:
         ch = sample_channel(psk, stream_rng(4, 0))
         cw_psk = Codebook(psk).map_bits([0, 1, 1, 0, 0, 0, 0, 0, 0])
         cw_ref = Codebook(rgssk).map_bits([0, 1, 1])
-        a = encode_mux_psk(cw_psk, ch, psk)
-        b = encode_diversity(cw_ref, ch, rgssk)
+        a = encode(cw_psk, ch, psk)
+        b = encode(cw_ref, ch, rgssk)
         assert np.allclose(a.coefficients, b.coefficients)
 
     def test_constructive_phase_exact(self):
@@ -99,7 +90,7 @@ class TestMuxPskEncoder:
         ch = sample_channel(cfg, stream_rng(4, 0))
         for index in (5, 130, 389):
             cw = cb.codeword(index)
-            refl = encode_mux_psk(cw, ch, cfg)
+            refl = encode(cw, ch, cfg)
             for l, antenna in enumerate(cw.combination):
                 value = group_sum(ch, refl, antenna, l, cfg.n_active)
                 wrapped = np.angle(value * np.exp(-1j * cw.phases[l]))
@@ -122,8 +113,8 @@ class TestMuxApskEncoder:
         cw_apsk = Codebook(apsk).map_bits([0, 0, 0, 0, 1, 1, 0, 1, 1])
         cw_psk = Codebook(psk).map_bits([0, 0, 0, 0, 1, 0, 1])
         assert np.allclose(cw_apsk.phases, cw_psk.phases)
-        a = encode_mux_apsk(cw_apsk, ch, apsk)
-        b = encode_mux_psk(cw_psk, ch, psk)
+        a = encode(cw_apsk, ch, apsk)
+        b = encode(cw_psk, ch, psk)
         assert np.allclose(a.coefficients, b.coefficients)
 
     def test_inner_ring_zero_count(self):
@@ -132,7 +123,7 @@ class TestMuxApskEncoder:
         cb = Codebook(cfg)
         ch = sample_channel(cfg, stream_rng(6, 0))
         cw = cb.map_bits([0, 0, 0, 0, 0, 0, 0, 0, 0])  # both rings inner
-        refl = encode_mux_apsk(cw, ch, cfg)
+        refl = encode(cw, ch, cfg)
         blocks = refl.group_view(cfg.n_active)
         for l in range(cfg.n_active):
             zeros = np.flatnonzero(np.abs(blocks[l]) == 0)
@@ -148,18 +139,24 @@ class TestMuxApskEncoder:
         draws = 10_000
         for _ in range(draws):
             ch = sample_channel(cfg, rng)
-            refl = encode_mux_apsk(cw, ch, cfg)
+            refl = encode(cw, ch, cfg)
             acc += group_sum(ch, refl, cw.combination[0], 0, cfg.n_active)
         mean = acc / draws
         expected = cw.active[0] * np.sqrt(np.pi) / 2 * np.exp(1j * cw.phases[0])
         assert abs(mean - expected) < 0.5
 
-    def test_scheme_guard(self):
-        cfg = make_config()
-        cb = Codebook(cfg)
+    def test_off_ring_active_count_rejected(self):
+        """A hand-built codeword whose ON count is no ring size is refused."""
+        cfg = make_config(scheme="mux_apsk", mod_order=8, ring_count=2)
+        cw = Codebook(cfg).codeword(0)
         ch = sample_channel(cfg, stream_rng(3, 0))
-        with pytest.raises(EncodeError):
-            encode_mux_apsk(cb.codeword(0), ch, cfg)
+        for active in ((7, 32), (0, 16), (16, 48)):
+            bad = Codeword(
+                index=0, row=0, symbol_index=0, combination=cw.combination,
+                symbols=cw.symbols, phases=cw.phases, active=np.array(active),
+            )
+            with pytest.raises(EncodeError, match="active counts"):
+                encode(bad, ch, cfg)
 
 
 SCHEME_CASES = [
@@ -192,7 +189,7 @@ class TestSchemeProperties:
         ch = sample_channel(psk, stream_rng(8, 0))
         for index in range(0, cbp.size, 37):
             cw = cbp.codeword(index)
-            refl = encode_mux_psk(cw, ch, psk)
+            refl = encode(cw, ch, psk)
             assert np.all(np.abs(refl.coefficients) > 0)
             assert np.all(refl.active == psk.n_group)
 

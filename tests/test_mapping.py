@@ -218,10 +218,18 @@ class TestCodebook:
         cb = Codebook(make_config(scheme="mux_apsk", mod_order=8, ring_count=2))
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=(64, cb.config.rate), dtype=np.uint8)
-        rows, syms = cb.indices_from_bits(bits)
+        batch = cb.map_bits(bits)
+        assert batch.combination.shape == (64, cb.config.n_active)
         for k in range(64):
             cw = cb.map_bits(bits[k])
-            assert (cw.row, cw.symbol_index) == (rows[k], syms[k])
+            assert (cw.index, cw.row, cw.symbol_index) == (
+                batch.index[k], batch.row[k], batch.symbol_index[k]
+            )
+            assert cw.combination == tuple(batch.combination[k])
+            assert np.array_equal(cw.phases, batch.phases[k])
+            assert np.array_equal(cw.active, batch.active[k])
+            assert cw.carrier == batch.carrier[k]
+        assert np.array_equal(cb.unmap(batch), bits)
 
     def test_diversity_carrier_matches_symbols(self):
         cb = Codebook(make_config(scheme="diversity", mod_order=64))

@@ -3,9 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from ris_rgsm import (
+    ChannelMatrix,
+    Codebook,
     ConfigError,
     SweepManifest,
     SystemConfig,
@@ -19,7 +22,18 @@ from ris_rgsm import (
     write_plot_data,
     write_summary_json,
 )
-from ris_rgsm.simulate import BerCurve, BerPoint, CSV_HEADER, _block_counts
+from ris_rgsm.channel import sample_gains, stream_rng
+from ris_rgsm.detector import (
+    ReceivedVector,
+    count_bit_errors,
+    detect_ml,
+    hypothesis_matrix,
+    ml_argmin,
+    precompute_equivalent_channel,
+    transmit,
+)
+from ris_rgsm.encoder import encode
+from ris_rgsm.simulate import BerCurve, BerPoint, CSV_HEADER, _block_counts, _snr_stream_key
 
 TABLE_4X2 = ((1, 3), (1, 4), (2, 3), (2, 4))
 
@@ -111,6 +125,101 @@ class TestSweepEngine:
     def test_block_counts_deterministic(self):
         cfg = small_config()
         assert _block_counts(cfg, -10.0, 3, 500) == _block_counts(cfg, -10.0, 3, 500)
+
+
+# One small config per scheme, constellation, rate 13 and n_active = 3, with
+# (snr_db, block_size) and the (trials, total, spatial, symbol) error counts
+# of blocks 0 and 5.  The counts pin the sweep's draws and arithmetic: a
+# change to either shows up here before it shows up in a curve.
+GOLDEN_BLOCKS = [
+    (dict(scheme="rgssk", n_elements=16, n_rx=4, mod_order=1, combination_table=TABLE_4X2),
+     -16.0, 64, [(64, 21, 21, 0), (64, 17, 17, 0)]),
+    (dict(scheme="diversity", n_elements=16, n_rx=4, mod_order=8,
+          diversity_constellation="psk", combination_table=TABLE_4X2),
+     -12.0, 64, [(64, 14, 7, 7), (64, 10, 2, 8)]),
+    (dict(scheme="diversity", n_elements=16, n_rx=4, mod_order=16,
+          diversity_constellation="qam", combination_table=TABLE_4X2),
+     -8.0, 64, [(64, 16, 8, 8), (64, 15, 7, 8)]),
+    (dict(scheme="diversity", n_elements=16, n_rx=4, mod_order=16,
+          diversity_constellation="apsk", ring_count=4, combination_table=TABLE_4X2),
+     -8.0, 64, [(64, 21, 7, 14), (64, 26, 7, 19)]),
+    (dict(scheme="mux_psk", n_elements=16, n_rx=5, mod_order=4),
+     -12.0, 64, [(64, 52, 27, 25), (64, 64, 34, 30)]),
+    (dict(scheme="mux_apsk", n_elements=16, n_rx=5, mod_order=8, ring_count=2),
+     -8.0, 64, [(64, 74, 33, 41), (64, 60, 26, 34)]),
+    (dict(scheme="mux_psk", n_elements=64, n_rx=5, mod_order=32),
+     -16.0, 16, [(16, 19, 0, 19), (16, 18, 0, 18)]),
+    (dict(scheme="mux_apsk", n_elements=24, n_rx=6, n_active=3, mod_order=4, ring_count=2),
+     -8.0, 64, [(64, 43, 24, 19), (64, 49, 28, 21)]),
+]
+
+
+def golden_config(kwargs):
+    return SystemConfig(**{"n_active": 2, "seed": 2026, **kwargs}).validate()
+
+
+@pytest.mark.parametrize(
+    "kwargs,snr_db,size,expected",
+    GOLDEN_BLOCKS,
+    ids=["rgssk", "div-psk", "div-qam", "div-apsk", "mux-psk", "mux-apsk", "rate13", "n3-apsk"],
+)
+def test_block_counts_golden(kwargs, snr_db, size, expected):
+    cfg = golden_config(kwargs)
+    assert [_block_counts(cfg, snr_db, b, size) for b in (0, 5)] == expected
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(scheme="mux_psk", n_elements=64, n_rx=5, mod_order=8),
+        dict(scheme="mux_apsk", n_elements=64, n_rx=5, mod_order=8, ring_count=2),
+        dict(scheme="diversity", n_elements=64, n_rx=5, mod_order=64),
+        dict(scheme="rgssk", n_elements=16, n_rx=4, mod_order=1, combination_table=TABLE_4X2),
+        dict(scheme="mux_apsk", n_elements=48, n_rx=6, n_active=3, mod_order=4, ring_count=2),
+    ],
+    ids=["mux-psk", "mux-apsk", "diversity", "rgssk", "n3-apsk"],
+)
+def test_sweep_block_matches_per_trial_calls(kwargs):
+    """A sweep block is the per-trial link model run on every trial at once."""
+    cfg = golden_config(kwargs)
+    cb = Codebook(cfg)
+    snr_db, block_index, size = -22.0, 1, 24
+    # the block's own draws, in the order _block_counts makes them
+    rng = stream_rng(cfg.seed, _snr_stream_key(snr_db), block_index)
+    bits = rng.integers(0, 2, size=(size, cfg.rate), dtype=np.uint8)
+    codewords = cb.map_bits(bits)
+    channel = ChannelMatrix(sample_gains((size, cfg.n_rx, cfg.n_elements), rng))
+    reflection = encode(codewords, channel, cfg)
+    received = transmit(
+        reflection, channel, snr_db, rng,
+        carrier=codewords.carrier, symbol_energy=cfg.symbol_energy,
+    )
+    equiv = precompute_equivalent_channel(channel, cfg)
+    hypotheses = hypothesis_matrix(equiv, cb)
+    detected = ml_argmin(received.samples, hypotheses)
+    counts = count_bit_errors(bits, cb.bit_table[detected], cfg.spatial_bits)
+    assert (size, *counts) == _block_counts(cfg, snr_db, block_index, size)
+    assert counts.total > 0
+
+    noiseless = transmit(
+        reflection, channel, float("inf"), None,
+        carrier=codewords.carrier, symbol_energy=cfg.symbol_energy,
+    ).samples
+    for t in range(size):
+        cw = cb.map_bits(bits[t])
+        ch = ChannelMatrix(channel.gains[t])
+        refl = encode(cw, ch, cfg)
+        assert np.array_equal(refl.coefficients, reflection.coefficients[t])
+        clean = transmit(
+            refl, ch, float("inf"), None, carrier=cw.carrier, symbol_energy=cfg.symbol_energy
+        ).samples
+        assert np.allclose(clean, noiseless[t], rtol=1e-13, atol=0)
+        eq = precompute_equivalent_channel(ch, cfg)
+        assert np.array_equal(eq.ring_tensor, equiv.ring_tensor[t])
+        assert np.array_equal(eq.tensor, equiv.tensor[t])
+        assert np.array_equal(hypothesis_matrix(eq, cb), hypotheses[t])
+        rx = ReceivedVector(samples=received.samples[t], noise_var=received.noise_var)
+        assert detect_ml(rx, eq, cb).index == detected[t]
 
 
 class TestTheorySweep:
