@@ -10,7 +10,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, load_manifest
+from .config import (
+    ConfigError,
+    SweepManifest,
+    load_config,
+    load_config_or_manifest,
+    load_manifest,
+)
 from .simulate import (
     compare,
     merge_theory,
@@ -81,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--target-ber", type=float, default=1e-3)
     _add_theory_opts(p_cmp)
 
-    p_val = sub.add_parser("validate-config", help="check a config file and print the summary")
+    p_val = sub.add_parser(
+        "validate-config", help="check a config or manifest and print one summary line per curve"
+    )
     _add_common(p_val, output=False)
     return parser
 
@@ -166,12 +174,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = _load(args, load_config)
-    print(
-        f"ok: scheme={config.scheme.value} rate={config.rate} bpcu "
-        f"spatial_bits={config.spatial_bits} group_size={config.n_group} "
-        f"codebook={1 << config.rate}"
-    )
+    loaded = _load(args, load_config_or_manifest)
+    entries = loaded.entries if isinstance(loaded, SweepManifest) else [(None, loaded)]
+    for label, config in entries:
+        name = "" if label is None else f"label={label} "
+        print(
+            f"ok: {name}scheme={config.scheme.value} rate={config.rate} bpcu "
+            f"spatial_bits={config.spatial_bits} group_size={config.n_group} "
+            f"codebook={1 << config.rate}"
+        )
     return EXIT_OK
 
 

@@ -329,7 +329,9 @@ def _snr_grid(raw) -> tuple[float, ...]:
         start, stop, step = _snr_values((raw["start"], raw["stop"], raw["step"]))
         if step <= 0 or stop < start:
             raise ConfigError("snr_db range must have step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
+        # the last point is the largest start + i*step not past stop, with a
+        # tolerance so that a step dividing the span in decimal still reaches it
+        count = math.floor((stop - start) / step + 1e-9) + 1
         return tuple(start + i * step for i in range(count))
     if isinstance(raw, (list, tuple)):
         return tuple(_snr_values(raw))
@@ -372,12 +374,27 @@ def load_manifest(path) -> SweepManifest:
     Top-level keys act as shared defaults; each entry under ``curves``
     must carry a unique ``label`` and may override any config key.
     """
+    return _manifest_from_mapping(_read_yaml(path))
+
+
+def load_config_or_manifest(path) -> SystemConfig | SweepManifest:
+    """Load a manifest if the file has a top-level ``curves`` key, else a
+    single-curve config."""
     data = _read_yaml(path)
+    if isinstance(data, dict) and "curves" in data:
+        return _manifest_from_mapping(data)
+    return config_from_mapping(data)
+
+
+def _manifest_from_mapping(data) -> SweepManifest:
     if not isinstance(data, dict) or "curves" not in data:
         raise ConfigError("manifest must be a mapping with a 'curves' list")
+    curves = data["curves"]
+    if not isinstance(curves, list) or not curves:
+        raise ConfigError(f"manifest 'curves' must be a non-empty list, got {curves!r}")
     shared = {k: v for k, v in data.items() if k != "curves"}
     entries = []
-    for item in data["curves"]:
+    for item in curves:
         if not isinstance(item, dict) or "label" not in item:
             raise ConfigError("each manifest curve needs a 'label'")
         label = str(item["label"])

@@ -3,7 +3,11 @@
 The equivalent-channel tensor collects, for every receive antenna and every
 group, the reflected sum obtained when that group steers toward any
 candidate antenna.  One tensor serves all hypotheses of a channel
-realization, so the ML search is a dense argmin over the codebook.
+realization.  The ML search scores the codebook from per-group responses:
+the metric of a MUX codeword splits into one term per group plus one cross
+term per pair of groups, so no ``(n_rx, codebook)`` hypothesis tensor is
+built.  :func:`hypothesis_matrix` is the dense reference model of the same
+responses.
 
 Stagger rotations live in the codebook's equivalent symbols, never in the
 tensor, so the steered entries are real and positive and no rotation is
@@ -12,6 +16,7 @@ counted twice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -121,15 +126,72 @@ def hypothesis_matrix(equiv: EquivalentChannel, codebook: Codebook) -> np.ndarra
     return predicted
 
 
-def ml_argmin(samples: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+def _group_factors(equiv: EquivalentChannel, codebook: Codebook) -> list[np.ndarray]:
+    """Responses whose sum over the list is every codeword's response.
+
+    Each factor is ``(..., rows, labels, n_rx)``.  A MUX codeword carries one
+    label per group, so each group is one factor: its ring-matched response
+    for every combination row and label, times that label's wave.  The other
+    schemes share one symbol across the groups and have the whole
+    :func:`hypothesis_matrix` as their single factor.
+    """
+    cfg = codebook.config
+    if not cfg.scheme.is_mux:
+        return [np.moveaxis(hypothesis_matrix(equiv, codebook), -3, -1)]
+    order, n_active = cfg.mod_order, cfg.n_active
+    # group i's wave for label q is that of the symbol with label q on group i
+    # and 0 elsewhere; a label's low bits are its ring, so (phase, ring) splits it
+    symbol = np.arange(order)[:, None] * order ** np.arange(n_active - 1, -1, -1)
+    waves = codebook.group_waves[symbol, np.arange(n_active)]
+    waves = waves.reshape(-1, cfg.ring_count, n_active, 1)
+    per_target = np.moveaxis(equiv.ring_tensor, -4, -1)  # (..., groups, antennas, rings, n_rx)
+    factors = []
+    for i in range(n_active):
+        steered = per_target[..., i, codebook.combinations[:, i] - 1, :, :]
+        factor = steered[..., None, :, :] * waves[:, :, i]  # (..., rows, phases, rings, n_rx)
+        factors.append(factor.reshape(*factor.shape[:-3], order, cfg.n_rx))
+    return factors
+
+
+def _on_grid(term: np.ndarray, groups, n_factors: int) -> np.ndarray:
+    """Unit axes for the factors a term does not span, so it broadcasts on
+    the ``(..., rows, label_1, ..., label_L)`` grid."""
+    return term[(..., *(slice(None) if i in groups else None for i in range(n_factors)))]
+
+
+def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook) -> np.ndarray:
     """Codeword index minimizing the Euclidean metric, per trial.
 
-    ``samples`` is ``(..., n_rx)`` and ``predicted`` the matching
-    :func:`hypothesis_matrix`; ties break toward the lowest index.
+    A codeword's response is the sum ``p = sum_l v_l`` of its factors (one
+    per MUX group, see :func:`_group_factors`), so
+
+        ||y - p||^2 - ||y||^2 = sum_l (||v_l||^2 - 2 Re<y, v_l>)
+                                + 2 sum_{l<l'} Re<v_l, v_l'>
+
+    takes one matmul per pair of groups and no dense hypothesis tensor.  The
+    terms broadcast on a ``(..., rows, label_1, ..., label_L)`` grid whose
+    flat index is the codeword index, so ties break toward the lowest index.
+    ``samples`` is ``(..., n_rx)`` with the leading axes of ``equiv``.
     """
-    deltas = samples[..., None, None] - predicted
-    metric = np.einsum("...nrq,...nrq->...rq", deltas, np.conj(deltas)).real
-    return np.argmin(metric.reshape(*metric.shape[:-2], -1), axis=-1)
+    # complex inner products as real dot products over interleaved re/im
+    factors = [np.ascontiguousarray(v).view(np.float64) for v in _group_factors(equiv, codebook)]
+    y = np.ascontiguousarray(samples, dtype=complex).view(np.float64)[..., None, :, None]
+    n = len(factors)
+    # half the metric: halving is exact, so the argmin is the same
+    terms = [
+        _on_grid(factors[i] @ np.swapaxes(factors[j], -1, -2), (i, j), n)
+        for i, j in itertools.combinations(range(n), 2)
+    ]
+    terms += [
+        _on_grid(0.5 * np.einsum("...k,...k->...", v, v) - (v @ y)[..., 0], (i,), n)
+        for i, v in enumerate(factors)
+    ]
+    # accumulate in place: fresh grid-sized buffers cost more than the adds
+    grid = np.broadcast_shapes(*(term.shape for term in terms))
+    metric = terms[0] if terms[0].shape == grid else np.broadcast_to(terms[0], grid).copy()
+    for term in terms[1:]:
+        metric += term
+    return np.argmin(metric.reshape(*metric.shape[: -n - 1], -1), axis=-1)
 
 
 def detect_ml(
@@ -140,7 +202,7 @@ def detect_ml(
     Ties break toward the lowest codeword index (row-major over combination
     rows then symbol indices), which makes detection deterministic.
     """
-    return codebook.codeword(ml_argmin(received.samples, hypothesis_matrix(equiv, codebook)))
+    return codebook.codeword(ml_argmin(received.samples, equiv, codebook))
 
 
 class BitErrorCounts(NamedTuple):

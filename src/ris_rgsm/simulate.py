@@ -24,7 +24,6 @@ from .channel import ChannelMatrix, sample_gains, stream_rng
 from .config import ConfigError, SweepManifest, SystemConfig
 from .detector import (
     count_bit_errors,
-    hypothesis_matrix,
     ml_argmin,
     noise_variance,
     precompute_equivalent_channel,
@@ -91,7 +90,9 @@ def _snr_stream_key(snr_db: float) -> int:
 
 
 def default_block_size(config: SystemConfig) -> int:
-    # keep the hypothesis tensor around a few tens of MB
+    # block boundaries key the random streams, so this size is part of the
+    # output bytes of a (config, seed); it dates from the dense hypothesis
+    # tensor, which detection no longer builds on MUX configs
     cells = config.n_rx * (1 << config.rate)
     return int(np.clip(2_500_000 // max(cells, 1), 32, 1024))
 
@@ -116,8 +117,7 @@ def _block_counts(config: SystemConfig, snr_db: float, block_index: int, block_s
         carrier=codewords.carrier,
         symbol_energy=cfg.symbol_energy,
     )
-    hypotheses = hypothesis_matrix(precompute_equivalent_channel(channel, cfg), cb)
-    detected = ml_argmin(received.samples, hypotheses)
+    detected = ml_argmin(received.samples, precompute_equivalent_channel(channel, cfg), cb)
     return (block_size, *count_bit_errors(bits, cb.bit_table[detected], cfg.spatial_bits))
 
 

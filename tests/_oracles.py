@@ -1,8 +1,9 @@
-"""Independent oracles shared by theory and acceptance tests.
+"""Independent oracles shared by the detector, sweep, theory and acceptance
+tests.
 
 Everything here recomputes quantities from first principles (raw channel
-draws, direct sampling) without touching the analytical code paths under
-test.
+draws, direct sampling, the dense ML metric) without touching the code
+paths under test.
 """
 
 import numpy as np
@@ -12,6 +13,14 @@ from scipy.special import erfc
 def q_function(x):
     """Gaussian tail probability via erfc."""
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
+
+
+def dense_ml_argmin(samples, hypotheses):
+    """ML decision from the dense metric ``||y - p||^2`` over a
+    ``(..., n_rx, rows, symbols)`` hypothesis matrix; lowest index on ties."""
+    deltas = np.asarray(samples)[..., None, None] - hypotheses
+    metric = np.sum(np.abs(deltas) ** 2, axis=-3)
+    return np.argmin(metric.reshape(*metric.shape[:-2], -1), axis=-1)
 
 
 def mc_difference_stats(config, src, dst, draws=100_000, seed=0, chunk=25_000):

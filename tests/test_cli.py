@@ -2,10 +2,13 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from ris_rgsm.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 GOOD_CONFIG = """\
 scheme: rgssk
@@ -93,6 +96,23 @@ class TestValidateConfig:
         assert main(["compare", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
         path.write_text(MANIFEST + "  - {label: broken\n")
         assert main(["compare", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+        head = MANIFEST[: MANIFEST.index("curves:")]
+        for curves in ("curves:\n", "curves: {label: n16}\n", "curves: []\n"):
+            path.write_text(head + curves)
+            assert main(["compare", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+            assert main(["validate-config", "-c", str(path)]) == 2
+
+    def test_manifest_prints_one_line_per_curve(self, tmp_path, capsys):
+        path = tmp_path / "manifest.yaml"
+        path.write_text(MANIFEST)
+        assert main(["validate-config", "-c", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines] == ["label=n16", "label=n32"]
+        assert all(line.startswith("ok: ") and "rate=2" in line for line in lines)
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_reference_configs_validate(self, path):
+        assert main(["validate-config", "-c", str(path)]) == 0
 
 
 class TestSimulateCommand:

@@ -154,6 +154,22 @@ class TestConfigFiles:
         )
         assert load_config(path).snr_grid_db == (-4.0, -2.0, -0.0)
 
+    @pytest.mark.parametrize(
+        "grid,expected",
+        [
+            ("{start: 0, stop: 1, step: 0.6}", (0.0, 0.6)),
+            ("{start: 0, stop: 0.3, step: 0.1}", (0.0, 0.1, 0.2, 0.30000000000000004)),
+            ("{start: -17, stop: -4, step: 1}", tuple(float(v) for v in range(-17, -3))),
+        ],
+    )
+    def test_snr_range_stops_at_stop(self, tmp_path, grid, expected):
+        """The range ends at the last step not past ``stop``."""
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            f"scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\nsnr_db: {grid}\n"
+        )
+        assert load_config(path).snr_grid_db == expected
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\nbogus: 1\n")

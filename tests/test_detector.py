@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_rgsm import (
+    ChannelMatrix,
     Codebook,
     SystemConfig,
     count_bit_errors,
@@ -17,8 +18,11 @@ from ris_rgsm import (
     stream_rng,
     transmit,
 )
-from ris_rgsm.detector import ReceivedVector, hypothesis_matrix
+from ris_rgsm.channel import sample_gains
+from ris_rgsm.detector import EquivalentChannel, ReceivedVector, hypothesis_matrix, ml_argmin
 from ris_rgsm.encoder import ReflectionVector
+
+from _oracles import dense_ml_argmin
 
 
 def make_config(**overrides):
@@ -217,16 +221,77 @@ class TestDetectML:
         )
         assert np.argmin(m_base.ravel()) == np.argmin(m_rot.ravel())
 
-    def test_tie_breaks_to_lowest_index(self):
-        """Equal metrics resolve to the lowest codeword index."""
-        cfg = make_config(scheme="rgssk", mod_order=1, n_rx=4, n_elements=8)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(scheme="rgssk", mod_order=1, n_rx=4, n_elements=8),
+            dict(scheme="mux_psk", mod_order=8),
+            dict(scheme="mux_apsk", mod_order=8, ring_count=2),
+            dict(scheme="mux_apsk", n_rx=6, n_active=3, n_elements=24, mod_order=4, ring_count=2),
+        ],
+        ids=["rgssk", "mux_psk", "mux_apsk", "n3-apsk"],
+    )
+    def test_tie_breaks_to_lowest_index(self, kwargs):
+        """Equal metrics resolve to the lowest codeword index: a dark
+        channel gives every hypothesis the same metric."""
+        cfg = make_config(**kwargs)
         cb = Codebook(cfg)
-        eq_tensor = np.zeros((4, 2, 4), dtype=complex)
-        from ris_rgsm.detector import EquivalentChannel
-
-        eq = EquivalentChannel(tensor=eq_tensor, ring_tensor=eq_tensor[..., None])
-        rx = ReceivedVector(samples=np.zeros(4, dtype=complex), noise_var=1.0)
+        dark = np.zeros((cfg.n_rx, cfg.n_active, cfg.n_rx, cfg.ring_count), dtype=complex)
+        eq = EquivalentChannel(tensor=dark[..., -1], ring_tensor=dark)
+        rx = ReceivedVector(samples=np.zeros(cfg.n_rx, dtype=complex), noise_var=1.0)
         assert detect_ml(rx, eq, cb).index == 0
+
+
+@st.composite
+def small_configs(draw):
+    """Small valid configs of every scheme with 1 to 3 active groups."""
+    scheme = draw(st.sampled_from(["rgssk", "diversity", "mux_psk", "mux_apsk"]))
+    n_active = draw(st.integers(1, 3))
+    kwargs = dict(
+        scheme=scheme,
+        n_active=n_active,
+        n_rx=draw(st.integers(2 * n_active, 2 * n_active + 2)),
+        n_elements=n_active * draw(st.sampled_from([2, 4, 8])),
+        symbol_energy=draw(st.sampled_from([1.0, 2.5])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    if scheme == "rgssk":
+        kwargs["mod_order"] = 1
+    elif scheme == "diversity":
+        kind = draw(st.sampled_from(["psk", "qam", "apsk"]))
+        orders = {"psk": [2, 4, 8, 16], "qam": [4, 16], "apsk": [4, 8, 16]}[kind]
+        kwargs.update(diversity_constellation=kind, mod_order=draw(st.sampled_from(orders)))
+        if kind == "apsk":
+            kwargs["ring_count"] = 2
+    else:
+        kwargs["mod_order"] = draw(st.sampled_from([2, 4, 8] if n_active < 3 else [2, 4]))
+        kwargs["stagger"] = draw(st.booleans())
+        if scheme == "mux_apsk":
+            kwargs.update(mod_order=max(kwargs["mod_order"], 4), ring_count=2)
+    return SystemConfig(**kwargs).validate()
+
+
+@given(small_configs(), st.integers(1, 3), st.floats(-20.0, 10.0))
+@settings(max_examples=60, deadline=None)
+def test_factored_argmin_matches_dense_reference(cfg, trials, snr_db):
+    """The factored metric decides as the dense metric over the hypothesis
+    matrix does, and recovers every transmitted codeword without noise."""
+    cb = Codebook(cfg)
+    rng = stream_rng(cfg.seed, 7)
+    index = rng.integers(0, cb.size, size=trials)
+    codewords = cb.codeword(index)
+    channel = ChannelMatrix(sample_gains((trials, cfg.n_rx, cfg.n_elements), rng))
+    reflection = encode(codewords, channel, cfg)
+    equiv = precompute_equivalent_channel(channel, cfg)
+    for snr in (snr_db, float("inf")):
+        received = transmit(
+            reflection, channel, snr, rng,
+            carrier=codewords.carrier, symbol_energy=cfg.symbol_energy,
+        )
+        detected = ml_argmin(received.samples, equiv, cb)
+        dense = dense_ml_argmin(received.samples, hypothesis_matrix(equiv, cb))
+        assert np.array_equal(detected, dense)
+    assert np.array_equal(detected, index)
 
 
 class TestCountBitErrors:

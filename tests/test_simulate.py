@@ -35,6 +35,8 @@ from ris_rgsm.detector import (
 from ris_rgsm.encoder import encode
 from ris_rgsm.simulate import BerCurve, BerPoint, CSV_HEADER, _block_counts, _snr_stream_key
 
+from _oracles import dense_ml_argmin
+
 TABLE_4X2 = ((1, 3), (1, 4), (2, 3), (2, 4))
 
 
@@ -196,7 +198,8 @@ def test_sweep_block_matches_per_trial_calls(kwargs):
     )
     equiv = precompute_equivalent_channel(channel, cfg)
     hypotheses = hypothesis_matrix(equiv, cb)
-    detected = ml_argmin(received.samples, hypotheses)
+    detected = ml_argmin(received.samples, equiv, cb)
+    assert np.array_equal(detected, dense_ml_argmin(received.samples, hypotheses))
     counts = count_bit_errors(bits, cb.bit_table[detected], cfg.spatial_bits)
     assert (size, *counts) == _block_counts(cfg, snr_db, block_index, size)
     assert counts.total > 0
