@@ -58,7 +58,9 @@ class SystemConfig:
         Equivalent constellation size per selected antenna (MUX schemes)
         or of the shared symbol (diversity).  Must be 1 for RGSSK.
     ring_count : int
-        Amplitude rings for the MUX APSK scheme; 1 otherwise.
+        Amplitude rings of an APSK constellation: the RIS rings of
+        ``mux_apsk`` (ON/OFF element counts) or the constellation rings of
+        diversity ``apsk`` (carrier amplitudes); 1 otherwise.
     symbol_energy : float
         Transmit symbol energy (fixed to 1.0 in all reference sweeps).
     snr_grid_db : tuple of float
@@ -128,6 +130,13 @@ class SystemConfig:
     def symbol_bits(self) -> int:
         """Bits per modulated symbol (per group for MUX schemes)."""
         return self.mod_order.bit_length() - 1
+
+    @property
+    def ris_rings(self) -> int:
+        """Chunks a RIS group is switched ON in: ``ring_count`` for
+        ``mux_apsk``, 1 for the other schemes, whose groups are always fully
+        ON (diversity APSK rings are carrier amplitudes)."""
+        return self.ring_count if self.scheme is Scheme.MUX_APSK else 1
 
     @property
     def phase_order(self) -> int:

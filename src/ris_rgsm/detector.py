@@ -3,10 +3,12 @@
 The equivalent-channel tensor collects, for every receive antenna and every
 group, the reflected sum obtained when that group steers toward any
 candidate antenna.  One tensor serves all hypotheses of a channel
-realization.  The ML search scores the codebook from per-group responses:
-the metric of a MUX codeword splits into one term per group plus one cross
-term per pair of groups, so no ``(n_rx, codebook)`` hypothesis tensor is
-built.  :func:`hypothesis_matrix` is the dense reference model of the same
+realization.  The ML search scores the codebook without an
+``(n_rx, codebook)`` hypothesis tensor: the metric of a MUX codeword splits
+into one term per group plus one cross term per pair of groups, and a
+diversity or RGSSK codeword, whose groups share one symbol, responds with
+its row's summed group response times that symbol.
+:func:`hypothesis_matrix` is the dense reference model of the same
 responses.
 
 Stagger rotations live in the codebook's equivalent symbols, never in the
@@ -82,6 +84,8 @@ class EquivalentChannel:
     ``ring_tensor[..., n, i, a, r]`` restricts the sum to the elements a
     ring-``r`` hypothesis leaves ON, so the receiver can match partially
     activated groups exactly; the last ring slice is the full-group ``tensor``.
+    Only ``mux_apsk`` switches groups partly ON, so the other schemes have
+    one ring (``SystemConfig.ris_rings``).
     """
 
     tensor: np.ndarray
@@ -100,7 +104,8 @@ def precompute_equivalent_channel(
 ) -> EquivalentChannel:
     grouped = channel.group_view(config.n_active)
     align = np.conj(grouped) / np.abs(grouped)
-    chunked = grouped.shape[:-1] + (config.ring_count, config.n_group // config.ring_count)
+    rings = config.ris_rings
+    chunked = grouped.shape[:-1] + (rings, config.n_group // rings)
     per_ring = np.einsum(
         "...nick,...aick->...niac", grouped.reshape(chunked), align.reshape(chunked)
     )
@@ -127,23 +132,19 @@ def hypothesis_matrix(equiv: EquivalentChannel, codebook: Codebook) -> np.ndarra
 
 
 def _group_factors(equiv: EquivalentChannel, codebook: Codebook) -> list[np.ndarray]:
-    """Responses whose sum over the list is every codeword's response.
+    """Per-group responses of a MUX codebook, whose sum over the list is
+    every codeword's response.
 
-    Each factor is ``(..., rows, labels, n_rx)``.  A MUX codeword carries one
-    label per group, so each group is one factor: its ring-matched response
-    for every combination row and label, times that label's wave.  The other
-    schemes share one symbol across the groups and have the whole
-    :func:`hypothesis_matrix` as their single factor.
+    Each factor is ``(..., rows, labels, n_rx)``: group ``i``'s ring-matched
+    response for every combination row and label, times that label's wave.
     """
     cfg = codebook.config
-    if not cfg.scheme.is_mux:
-        return [np.moveaxis(hypothesis_matrix(equiv, codebook), -3, -1)]
     order, n_active = cfg.mod_order, cfg.n_active
     # group i's wave for label q is that of the symbol with label q on group i
     # and 0 elsewhere; a label's low bits are its ring, so (phase, ring) splits it
     symbol = np.arange(order)[:, None] * order ** np.arange(n_active - 1, -1, -1)
     waves = codebook.group_waves[symbol, np.arange(n_active)]
-    waves = waves.reshape(-1, cfg.ring_count, n_active, 1)
+    waves = waves.reshape(-1, cfg.ris_rings, n_active, 1)
     per_target = np.moveaxis(equiv.ring_tensor, -4, -1)  # (..., groups, antennas, rings, n_rx)
     factors = []
     for i in range(n_active):
@@ -159,25 +160,13 @@ def _on_grid(term: np.ndarray, groups, n_factors: int) -> np.ndarray:
     return term[(..., *(slice(None) if i in groups else None for i in range(n_factors)))]
 
 
-def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook) -> np.ndarray:
-    """Codeword index minimizing the Euclidean metric, per trial.
-
-    A codeword's response is the sum ``p = sum_l v_l`` of its factors (one
-    per MUX group, see :func:`_group_factors`), so
-
-        ||y - p||^2 - ||y||^2 = sum_l (||v_l||^2 - 2 Re<y, v_l>)
-                                + 2 sum_{l<l'} Re<v_l, v_l'>
-
-    takes one matmul per pair of groups and no dense hypothesis tensor.  The
-    terms broadcast on a ``(..., rows, label_1, ..., label_L)`` grid whose
-    flat index is the codeword index, so ties break toward the lowest index.
-    ``samples`` is ``(..., n_rx)`` with the leading axes of ``equiv``.
-    """
+def _mux_metric(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook) -> np.ndarray:
+    """Half the metric minus ``||y||^2 / 2`` on the ``(..., rows, label_1,
+    ..., label_L)`` grid, from the factors of :func:`_group_factors`."""
     # complex inner products as real dot products over interleaved re/im
     factors = [np.ascontiguousarray(v).view(np.float64) for v in _group_factors(equiv, codebook)]
     y = np.ascontiguousarray(samples, dtype=complex).view(np.float64)[..., None, :, None]
     n = len(factors)
-    # half the metric: halving is exact, so the argmin is the same
     terms = [
         _on_grid(factors[i] @ np.swapaxes(factors[j], -1, -2), (i, j), n)
         for i, j in itertools.combinations(range(n), 2)
@@ -191,7 +180,52 @@ def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook)
     metric = terms[0] if terms[0].shape == grid else np.broadcast_to(terms[0], grid).copy()
     for term in terms[1:]:
         metric += term
-    return np.argmin(metric.reshape(*metric.shape[: -n - 1], -1), axis=-1)
+    return metric
+
+
+def _shared_symbol_metric(
+    samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook
+) -> np.ndarray:
+    """Half the metric minus ``||y||^2 / 2`` on the ``(..., rows, symbols)``
+    grid of a diversity or RGSSK codebook.
+
+    Every group is fully ON and carries the same wave ``w_q``, so codeword
+    ``(r, q)`` responds with ``w_q u_r``, where ``u_r`` sums the row's steered
+    group responses.  With ``z_r = <y, u_r>`` the entry is
+    ``|w_q|^2 ||u_r||^2 / 2 - Re(w_q z_r)``: ``(rows, n_rx)`` work per trial
+    and one ``(rows, 3) @ (3, symbols)`` product for the grid.
+    """
+    combos = codebook.combinations - 1
+    # u_r for every row: (..., n_rx, rows)
+    summed = equiv.tensor[..., np.arange(combos.shape[1]), combos].sum(axis=-1)
+    z = np.einsum("...n,...nr->...r", np.conj(samples), summed)
+    power = np.einsum("...nr,...nr->...r", summed, np.conj(summed)).real
+    w = codebook.group_waves[:, 0]
+    per_row = np.stack([power, -z.real, z.imag], axis=-1)
+    per_symbol = np.stack([0.5 * np.abs(w) ** 2, w.real, w.imag])
+    return per_row @ per_symbol
+
+
+def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook) -> np.ndarray:
+    """Codeword index minimizing the Euclidean metric, per trial.
+
+    No dense hypothesis tensor is built.  A MUX codeword's response is the
+    sum ``p = sum_l v_l`` of its factors (one per group, see
+    :func:`_group_factors`), so
+
+        ||y - p||^2 - ||y||^2 = sum_l (||v_l||^2 - 2 Re<y, v_l>)
+                                + 2 sum_{l<l'} Re<v_l, v_l'>
+
+    takes one matmul per pair of groups.  Diversity and RGSSK responses are
+    rank one (see :func:`_shared_symbol_metric`).  Half the metric is
+    scored (halving is exact, so the argmin is the same) on a ``(..., rows,
+    label_1, ..., label_L)`` or ``(..., rows, symbols)`` grid whose flat
+    index is the codeword index, so ties break toward the lowest index.
+    ``samples`` is ``(..., n_rx)`` with the leading axes of ``equiv``.
+    """
+    score = _mux_metric if codebook.config.scheme.is_mux else _shared_symbol_metric
+    metric = score(samples, equiv, codebook)
+    return np.argmin(metric.reshape(*np.shape(samples)[:-1], -1), axis=-1)
 
 
 def detect_ml(

@@ -240,8 +240,7 @@ class Codebook:
         # unit-amplitude group waves and 0-based ring indices for the
         # physically matched receiver (amplitude comes from the ON count)
         self.group_waves = amp * np.exp(1j * phases) * carriers[:, None]
-        ring_size = n_g // cfg.ring_count
-        self.group_rings = active // ring_size - 1
+        self.group_rings = active // (n_g // cfg.ris_rings) - 1
 
     @staticmethod
     def _group_labels(count, order, n_groups) -> np.ndarray:

@@ -90,9 +90,9 @@ def _snr_stream_key(snr_db: float) -> int:
 
 
 def default_block_size(config: SystemConfig) -> int:
-    # block boundaries key the random streams, so this size is part of the
-    # output bytes of a (config, seed); it dates from the dense hypothesis
-    # tensor, which detection no longer builds on MUX configs
+    # sized for the dense hypothesis tensor, which no scheme builds any more;
+    # the size stays because block boundaries key the random streams, so it
+    # is part of the output bytes of a (config, seed)
     cells = config.n_rx * (1 << config.rate)
     return int(np.clip(2_500_000 // max(cells, 1), 32, 1024))
 
@@ -150,7 +150,9 @@ def _sweep_point(config, snr_db, executor, block_size) -> BerPoint:
     for wave in _wave_plan(n_blocks):
         payloads = [(config, snr_db, b, sizes[b]) for b in wave]
         if executor is None:
-            results = [_block_job(p) for p in payloads]
+            # lazy: a block runs only once the scan reaches it, so no block
+            # past the stopping one is computed
+            results = map(_block_job, payloads)
         else:
             results = list(executor.map(_block_job, payloads))
         for result in results:  # scan in block order: stop rule is worker-independent

@@ -40,6 +40,19 @@ mod_order: 32
 snr_db: [0]
 """
 
+# diversity APSK rings are carrier amplitudes: 4 rings on 10-element groups
+DIVERSITY_APSK = """\
+scheme: diversity
+diversity_constellation: apsk
+mod_order: 16
+ring_count: 4
+n_elements: 20
+n_rx: 4
+n_active: 2
+snr_db: [0]
+trials: 300
+"""
+
 MANIFEST = """\
 n_elements: 16
 n_rx: 4
@@ -135,6 +148,16 @@ class TestSimulateCommand:
         with open(out / "x.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all(float(r["theory_bound"]) > 0 for r in rows)
+
+    def test_constellation_rings_need_not_divide_groups(self, tmp_path):
+        path = tmp_path / "div_apsk.yaml"
+        path.write_text(DIVERSITY_APSK)
+        out = tmp_path / "results"
+        assert main(["validate-config", "-c", str(path)]) == 0
+        assert main(["simulate", "-c", str(path), "-o", str(out)]) == 0
+        with open(out / "diversity.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert int(rows[0]["trials"]) == 300
 
     def test_seed_override(self, good_config, tmp_path):
         out = tmp_path / "results"

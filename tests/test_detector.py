@@ -1,5 +1,7 @@
 """Tests for signal synthesis, equivalent channel, and ML detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from ris_rgsm import (
 from ris_rgsm.channel import sample_gains
 from ris_rgsm.detector import EquivalentChannel, ReceivedVector, hypothesis_matrix, ml_argmin
 from ris_rgsm.encoder import ReflectionVector
+from ris_rgsm.simulate import default_block_size
 
 from _oracles import dense_ml_argmin
 
@@ -228,18 +231,44 @@ class TestDetectML:
             dict(scheme="mux_psk", mod_order=8),
             dict(scheme="mux_apsk", mod_order=8, ring_count=2),
             dict(scheme="mux_apsk", n_rx=6, n_active=3, n_elements=24, mod_order=4, ring_count=2),
+            dict(scheme="diversity", mod_order=8, diversity_constellation="psk"),
+            dict(scheme="diversity", mod_order=16, diversity_constellation="qam"),
+            dict(scheme="diversity", mod_order=16, diversity_constellation="apsk", ring_count=4),
         ],
-        ids=["rgssk", "mux_psk", "mux_apsk", "n3-apsk"],
+        ids=["rgssk", "mux_psk", "mux_apsk", "n3-apsk", "div-psk", "div-qam", "div-apsk"],
     )
     def test_tie_breaks_to_lowest_index(self, kwargs):
         """Equal metrics resolve to the lowest codeword index: a dark
         channel gives every hypothesis the same metric."""
         cfg = make_config(**kwargs)
         cb = Codebook(cfg)
-        dark = np.zeros((cfg.n_rx, cfg.n_active, cfg.n_rx, cfg.ring_count), dtype=complex)
+        dark = np.zeros((cfg.n_rx, cfg.n_active, cfg.n_rx, cfg.ris_rings), dtype=complex)
         eq = EquivalentChannel(tensor=dark[..., -1], ring_tensor=dark)
         rx = ReceivedVector(samples=np.zeros(cfg.n_rx, dtype=complex), noise_var=1.0)
         assert detect_ml(rx, eq, cb).index == 0
+
+    def test_shared_symbol_search_builds_no_dense_tensor(self):
+        """A rate-9 diversity sweep block is searched in far less memory than
+        its dense hypothesis tensor would take."""
+        cfg = make_config(
+            scheme="diversity", mod_order=64, diversity_constellation="apsk", ring_count=8
+        )
+        cb = Codebook(cfg)
+        trials = default_block_size(cfg)
+        rng = stream_rng(5, 0)
+        channel = ChannelMatrix(sample_gains((trials, cfg.n_rx, cfg.n_elements), rng))
+        equiv = precompute_equivalent_channel(channel, cfg)
+        shape = (trials, cfg.n_rx)
+        samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dense_bytes = trials * cfg.n_rx * cb.size * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            ml_argmin(samples, equiv, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (trials, dense_bytes) == (976, 976 * 5 * 512 * 16)
+        assert peak < dense_bytes / 4
 
 
 @st.composite
@@ -262,7 +291,10 @@ def small_configs(draw):
         orders = {"psk": [2, 4, 8, 16], "qam": [4, 16], "apsk": [4, 8, 16]}[kind]
         kwargs.update(diversity_constellation=kind, mod_order=draw(st.sampled_from(orders)))
         if kind == "apsk":
-            kwargs["ring_count"] = 2
+            # constellation rings, which need not divide the fully ON groups
+            rings = [r for r in (2, 4, 8) if r < kwargs["mod_order"]]
+            kwargs["ring_count"] = draw(st.sampled_from(rings))
+            kwargs["n_elements"] = n_active * draw(st.integers(1, 10))
     else:
         kwargs["mod_order"] = draw(st.sampled_from([2, 4, 8] if n_active < 3 else [2, 4]))
         kwargs["stagger"] = draw(st.booleans())

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,7 +34,16 @@ from ris_rgsm.detector import (
     transmit,
 )
 from ris_rgsm.encoder import encode
-from ris_rgsm.simulate import BerCurve, BerPoint, CSV_HEADER, _block_counts, _snr_stream_key
+from ris_rgsm import simulate
+from ris_rgsm.simulate import (
+    BerCurve,
+    BerPoint,
+    CSV_HEADER,
+    _block_counts,
+    _block_job,
+    _snr_stream_key,
+    _wave_plan,
+)
 
 from _oracles import dense_ml_argmin
 
@@ -84,6 +94,23 @@ class TestSweepEngine:
             assert (a.trials, a.bit_errors, a.spatial_bit_errors) == (
                 b.trials, b.bit_errors, b.spatial_bit_errors
             )
+
+    def test_serial_sweep_runs_only_the_blocks_it_uses(self, monkeypatch):
+        """Serially, no block past the one that reaches the error cap runs,
+        even when the cap falls inside a wave."""
+        calls = []
+
+        def counting_job(payload):
+            calls.append(payload[2])
+            return _block_job(payload)
+
+        monkeypatch.setattr(simulate, "_block_job", counting_job)
+        cfg = small_config(snr_grid_db=(-30.0,), trials=100_000, max_bit_errors=70)
+        point = run_simulation(cfg, block_size=16).points[0]
+        used = math.ceil(point.trials / 16)
+        wave = next(w for w in _wave_plan(math.ceil(cfg.trials / 16)) if used - 1 in w)
+        assert used < wave.stop
+        assert calls == list(range(used))
 
     def test_block_size_does_not_change_full_sweep(self):
         """With the trial cap reached, block partitioning is irrelevant."""
