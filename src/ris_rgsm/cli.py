@@ -41,6 +41,21 @@ def _add_common(parser: argparse.ArgumentParser, *, output: bool = True) -> None
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low`` (else exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_theory_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--policy",
@@ -48,10 +63,12 @@ def _add_theory_opts(parser: argparse.ArgumentParser) -> None:
         default="exhaustive",
         help="pair enumeration policy for the union bound",
     )
-    parser.add_argument("--samples", type=int, default=10_000, help="sampled-policy pair count")
+    parser.add_argument(
+        "--samples", type=_int_at_least(2), default=10_000, help="sampled-policy pair count"
+    )
     parser.add_argument(
         "--pair-ceiling",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_PAIR_CEILING,
         help="refuse exhaustive enumeration above this many ordered pairs",
     )

@@ -231,7 +231,6 @@ def run_theory(
         raise ConfigError("config has an empty snr grid")
     codebook = _cached_codebook(config)
     points = []
-    skipped_fraction = 0.0
     for snr in sorted(config.snr_grid_db):
         start = time.perf_counter()
         result = union_bound_ber(
@@ -241,7 +240,6 @@ def run_theory(
             sample_pairs=sample_pairs,
             pair_ceiling=pair_ceiling,
         )
-        skipped_fraction = result.skipped_fraction
         points.append(
             BerPoint(
                 snr_db=snr,
@@ -260,10 +258,14 @@ def run_theory(
         config=config,
         points=points,
         fingerprint=config.fingerprint(__version__),
+        # the codebook fixes the pair counts, so every point shares them
         meta={
             "kind": "theory",
             "policy": policy,
-            "skipped_pair_fraction": skipped_fraction,
+            "skipped_pair_fraction": result.skipped_fraction,
+            "evaluated_pairs": result.evaluated_pairs,
+            "skipped_pairs": result.skipped_pairs,
+            "signatures": result.signatures,
         },
     )
 
@@ -281,7 +283,8 @@ def merge_theory(sim_curve: BerCurve, theory_curve: BerCurve) -> BerCurve:
         )
     meta = dict(sim_curve.meta)
     meta["kind"] = "simulation+theory"
-    meta["skipped_pair_fraction"] = theory_curve.meta.get("skipped_pair_fraction")
+    for key in ("skipped_pair_fraction", "evaluated_pairs", "skipped_pairs", "signatures"):
+        meta[key] = theory_curve.meta.get(key)
     return BerCurve(
         label=sim_curve.label,
         config=sim_curve.config,

@@ -23,6 +23,14 @@ decoded to a different antenna contributes ``|s_i|**2 + |s_hat_i|**2``.
 The pairwise error bound is the three-term exponential upper bound of the
 Gaussian tail function evaluated through the quadratic-form MGF, and the
 average BER is the bit-error-weighted union over ordered codeword pairs.
+
+The MGF factors over the blocks.  Idle antennas and matched 2x2 blocks have
+closed forms.  A coupled 4x4 block goes through one kernel,
+:func:`_block_log_mgf`: a Cholesky factorization of ``I - 2xC`` unrolled
+over the block's entries plus a forward substitution, written as numpy
+elementwise operations, so the same code evaluates one pair
+(:meth:`DifferenceStatistics.mgf`, 0-d entries) and all symbol pairs of a
+row-pair layout at once (:func:`_layout_bound_matrix`, ``(Q, Q)`` entries).
 """
 
 from __future__ import annotations
@@ -210,12 +218,7 @@ class DifferenceStatistics:
         for blk in self.correct_blocks:
             log_m += _correct_block_log_mgf(blk, x)
         for blk in self.swap_blocks:
-            a = np.eye(4) - 2.0 * x * blk.cov
-            sign, logdet = np.linalg.slogdet(a)
-            if sign <= 0:
-                raise MgfDomainError(f"argument x={x} leaves a coupled block indefinite")
-            z = np.linalg.solve(a, blk.mean)
-            log_m += -0.5 * logdet + x * float(blk.mean @ z)
+            log_m += float(_block_log_mgf(blk.cov[np.triu_indices(4)], blk.mean, x))
         return math.exp(log_m)
 
 
@@ -239,6 +242,85 @@ def _iso_part(cov: np.ndarray) -> float:
     return half_tr - math.sqrt(disc)
 
 
+def _block_log_mgf(cov, mean, x: float):
+    """Log MGF of ``||Z||^2`` for Gaussian blocks, elementwise over a batch.
+
+    ``cov`` holds the upper triangle of each block's covariance ``C`` row by
+    row (``C[0, 0], C[0, 1], ..., C[0, n-1], C[1, 1], ...``) and ``mean`` its
+    ``n`` mean entries, every entry an array broadcastable to the batch shape
+    (0-d for a single block).  With ``A = I - 2xC`` the result is
+    ``-1/2 log det A + x m^T A^(-1) m``.  ``A = L L^T`` is factorized by a
+    Cholesky recursion unrolled over the entries, interleaved with the
+    forward substitution ``L z = m``, so that ``log det A`` is the sum of the
+    logged pivots ``L_jj^2`` and ``m^T A^(-1) m = ||z||^2``: every step is
+    one numpy elementwise operation over the batch.
+
+    Raises :class:`MgfDomainError` if a pivot is not positive anywhere in
+    the batch, i.e. ``x`` leaves ``I - 2xC`` indefinite.
+    """
+    n = len(mean)
+    scale = -2.0 * x
+    entries = iter(cov)
+    a = [[None] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = scale * next(entries) + 1.0
+        for j in range(i + 1, n):
+            a[j][i] = scale * next(entries)
+    low = [[None] * n for _ in range(n)]  # L below the diagonal
+    log_det = 0.0
+    quad = 0.0
+    z = [None] * n
+    for j in range(n):
+        pivot = a[j][j]
+        for k in range(j):
+            pivot = pivot - low[j][k] * low[j][k]
+        if not np.all(pivot > 0):
+            raise MgfDomainError(f"argument x={x} leaves a coupled block indefinite")
+        log_det = log_det + np.log(pivot)
+        inv = 1.0 / np.sqrt(pivot)
+        for i in range(j + 1, n):
+            acc = a[i][j]
+            for k in range(j):
+                acc = acc - low[i][k] * low[j][k]
+            low[i][j] = acc * inv
+        acc = mean[j]
+        for k in range(j):
+            acc = acc - low[j][k] * z[k]
+        z[j] = acc * inv
+        quad = quad + z[j] * z[j]
+    return -0.5 * log_det + x * quad
+
+
+def _swap_entries(s, s_hat, total, n_g: int):
+    """Covariance upper triangle and mean of the coupled block of one swap.
+
+    ``s``/``s_hat`` are the swapped position's true and wrong symbols and
+    ``total`` the sum of all position weights, as broadcastable arrays.  The
+    block stacks ``[antenna_re, antenna_im, partner_re, partner_im]``; the
+    ten covariance entries come row by row as :func:`_block_log_mgf` takes
+    them, followed by the four mean entries.
+    """
+    half = n_g / 2.0
+    c_mean = n_g * math.sqrt(math.pi) / 2.0
+    c_aniso = n_g * (4.0 - math.pi) / 4.0
+    c_cross = n_g * math.pi / 8.0
+    sr, si = s.real, s.imag
+    tr, ti = s_hat.real, s_hat.imag
+    var_n = half * (total - np.abs(s) ** 2)
+    var_m = half * (total - np.abs(s_hat) ** 2)
+    prod = s * s_hat
+    a = -c_cross * prod.real
+    b = -c_cross * prod.imag
+    cov = (
+        c_aniso * sr * sr + var_n, c_aniso * sr * si, a, b,
+        c_aniso * si * si + var_n, b, -a,
+        c_aniso * tr * tr + var_m, c_aniso * tr * ti,
+        c_aniso * ti * ti + var_m,
+    )
+    mean = (c_mean * sr, c_mean * si, -c_mean * tr, -c_mean * ti)
+    return cov, mean
+
+
 def assemble_statistics(
     combination,
     symbols,
@@ -258,7 +340,6 @@ def assemble_statistics(
     half = n_g / 2.0
     c_mean = n_g * math.sqrt(math.pi) / 2.0
     c_aniso = n_g * (4.0 - math.pi) / 4.0
-    c_cross = n_g * math.pi / 8.0
 
     w = _position_weights(layout, s, s_hat)
     total = float(np.sum(w))
@@ -283,24 +364,14 @@ def assemble_statistics(
     c = tuple(combination)
     c_hat = tuple(combination_hat)
     for l in layout.swapped:
-        sr, si = s[l].real, s[l].imag
-        tr, ti = s_hat[l].real, s_hat[l].imag
-        var_n = half * (total - abs(s[l]) ** 2)
-        var_m = half * (total - abs(s_hat[l]) ** 2)
-        prod = s[l] * s_hat[l]
-        a = -c_cross * prod.real
-        b = -c_cross * prod.imag
-        cov = np.array(
-            [
-                [c_aniso * sr * sr + var_n, c_aniso * sr * si, a, b],
-                [c_aniso * sr * si, c_aniso * si * si + var_n, b, -a],
-                [a, b, c_aniso * tr * tr + var_m, c_aniso * tr * ti],
-                [b, -a, c_aniso * tr * ti, c_aniso * ti * ti + var_m],
-            ]
-        )
-        mean = c_mean * np.array([sr, si, -tr, -ti])
+        upper, mean = _swap_entries(s[l], s_hat[l], total, n_g)
+        rows, cols = np.triu_indices(4)
+        cov = np.empty((4, 4))
+        cov[rows, cols] = cov[cols, rows] = upper
         swap_blocks.append(
-            SwapBlock(antenna=int(c[l]), partner=int(c_hat[l]), mean=mean, cov=cov)
+            SwapBlock(
+                antenna=int(c[l]), partner=int(c_hat[l]), mean=np.array(mean), cov=cov
+            )
         )
 
     return DifferenceStatistics(
@@ -407,6 +478,13 @@ def _layout_bound_matrix(codebook: Codebook, correct, noise_var: float):
     the matrix depends on the row pair only through which positions match;
     every mismatched position couples one fresh source/target antenna pair
     and the remaining ``n_rx - n_active - #mismatches`` antennas are idle.
+
+    All blocks are evaluated at once over the ``(Q, Q)`` grid of symbol
+    pairs (``Q`` symbols per row).  Idle antennas and matched 2x2 blocks
+    have closed forms; each mismatched position's coupled 4x4 block enters
+    as its ten covariance and four mean entries, each a ``(Q, Q)``-
+    broadcastable array built once for the three MGF arguments, and goes
+    through the elementwise Cholesky kernel :func:`_block_log_mgf`.
     """
     cfg = codebook.config
     correct = tuple(correct)
@@ -418,7 +496,6 @@ def _layout_bound_matrix(codebook: Codebook, correct, noise_var: float):
     half = n_g / 2.0
     c_mean = n_g * math.sqrt(math.pi) / 2.0
     c_aniso = n_g * (4.0 - math.pi) / 4.0
-    c_cross = n_g * math.pi / 8.0
 
     count = s_all.shape[0]
     total = np.zeros((count, count))
@@ -430,53 +507,29 @@ def _layout_bound_matrix(codebook: Codebook, correct, noise_var: float):
         else:
             total = total + np.abs(s) ** 2 + np.abs(s_hat) ** 2
 
-    swap_cov = []
-    swap_mean = []
-    for l in swapped:
-        s = s_all[:, l][:, None] + np.zeros((1, count))
-        s_hat = s_all[:, l][None, :] + np.zeros((count, 1))
-        sr, si = s.real, s.imag
-        tr, ti = s_hat.real, s_hat.imag
-        var_n = half * (total - np.abs(s) ** 2)
-        var_m = half * (total - np.abs(s_hat) ** 2)
-        prod = s * s_hat
-        a = -c_cross * prod.real
-        b = -c_cross * prod.imag
-        cov = np.empty((count, count, 4, 4))
-        cov[..., 0, 0] = c_aniso * sr * sr + var_n
-        cov[..., 1, 1] = c_aniso * si * si + var_n
-        cov[..., 0, 1] = cov[..., 1, 0] = c_aniso * sr * si
-        cov[..., 2, 2] = c_aniso * tr * tr + var_m
-        cov[..., 3, 3] = c_aniso * ti * ti + var_m
-        cov[..., 2, 3] = cov[..., 3, 2] = c_aniso * tr * ti
-        cov[..., 0, 2] = cov[..., 2, 0] = a
-        cov[..., 0, 3] = cov[..., 3, 0] = b
-        cov[..., 1, 2] = cov[..., 2, 1] = b
-        cov[..., 1, 3] = cov[..., 3, 1] = -a
-        mean = np.stack([c_mean * sr, c_mean * si, -c_mean * tr, -c_mean * ti], axis=-1)
-        swap_cov.append(cov)
-        swap_mean.append(mean)
+    matched = []
+    for l in correct:
+        delta = s_all[:, l][:, None] - s_all[:, l][None, :]
+        d2 = np.abs(delta) ** 2
+        q = half * (total - d2)
+        matched.append((q, q + c_aniso * d2, c_mean * c_mean * d2))
+    swaps = [
+        _swap_entries(s_all[:, l][:, None], s_all[:, l][None, :], total, n_g)
+        for l in swapped
+    ]
 
     bound = np.zeros((count, count))
     for weight, x in zip(BOUND_WEIGHTS, _mgf_arguments(noise_var)):
         log_m = np.zeros((count, count))
         if n_unselected:
             log_m -= n_unselected * np.log(1.0 - 2.0 * x * half * total)
-        for l in correct:
-            delta = s_all[:, l][:, None] - s_all[:, l][None, :]
-            d2 = np.abs(delta) ** 2
-            q = half * (total - d2)
+        for q, along, mean_sq in matched:
             e_iso = 1.0 - 2.0 * x * q
-            e_along = 1.0 - 2.0 * x * (q + c_aniso * d2)
+            e_along = 1.0 - 2.0 * x * along
             log_m += -0.5 * (np.log(e_iso) + np.log(e_along))
-            log_m += x * (c_mean * c_mean * d2) / e_along
-        for cov, mean in zip(swap_cov, swap_mean):
-            a_mat = -2.0 * x * cov
-            idx = np.arange(4)
-            a_mat[..., idx, idx] += 1.0
-            _, logdet = np.linalg.slogdet(a_mat)
-            z = np.linalg.solve(a_mat, mean[..., None])[..., 0]
-            log_m += -0.5 * logdet + x * np.einsum("...k,...k->...", mean, z)
+            log_m += x * mean_sq / e_along
+        for cov, mean in swaps:
+            log_m += _block_log_mgf(cov, mean, x)
         bound += weight * np.exp(log_m)
     return bound
 
@@ -491,6 +544,7 @@ class UnionBoundResult:
     evaluated_pairs: int
     skipped_pairs: int
     std_error: float | None = None
+    signatures: int | None = None  # distinct row-pair layouts (exhaustive policy)
 
     @property
     def skipped_fraction(self) -> float:
@@ -520,9 +574,9 @@ def union_bound_ber(
     """Bit-error-weighted union bound on the average BER.
 
     ``policy`` is ``"exhaustive"`` (all ordered codeword pairs; refused above
-    ``pair_ceiling``) or ``"sampled"`` (uniform random ordered pairs with
-    unbiased scaling).  Pairs outside the antenna taxonomy contribute zero
-    and are reported through ``skipped_pairs``.
+    ``pair_ceiling``) or ``"sampled"`` (``sample_pairs >= 2`` uniform random
+    ordered pairs with unbiased scaling).  Pairs outside the antenna taxonomy
+    contribute zero and are reported through ``skipped_pairs``.
     """
     size = codebook.size
     rate = codebook.config.rate
@@ -566,10 +620,15 @@ def union_bound_ber(
             policy=policy,
             evaluated_pairs=evaluated,
             skipped_pairs=skipped,
+            signatures=len(signatures),
         )
 
     if policy != "sampled":
         raise ValueError(f"unknown enumeration policy {policy!r}")
+    if sample_pairs < 2:
+        raise ValueError(
+            f"the sampled policy needs at least 2 pairs for its standard error, got {sample_pairs}"
+        )
 
     rng = rng if rng is not None else np.random.default_rng(codebook.config.seed)
     sources = rng.integers(0, size, size=sample_pairs)

@@ -184,6 +184,27 @@ class TestTheoryCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--samples", "0", "--samples: must be at least 2"),
+            ("--samples", "1", "--samples: must be at least 2"),
+            ("--samples", "ten", "--samples: expected an integer"),
+            ("--pair-ceiling", "-5", "--pair-ceiling: must be at least 1"),
+            ("--pair-ceiling", "0", "--pair-ceiling: must be at least 1"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["theory", "simulate", "compare"])
+    def test_bad_theory_option_exits_two(self, good_config, tmp_path, capsys,
+                                         command, option, value, message):
+        argv = [command, "-c", str(good_config), "-o", str(tmp_path / "out"),
+                "--policy", "sampled", option, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sampled_policy_allowed_above_ceiling(self, tmp_path):
         path = tmp_path / "big.yaml"
         path.write_text(BIG_CODEBOOK)
@@ -209,6 +230,30 @@ class TestCompareCommand:
         assert (out / "plotdata.csv").exists()
         assert (out / "n16.csv").exists() and (out / "n32.csv").exists()
         assert "n16 vs n32" in capsys.readouterr().out
+
+    def test_theory_diagnostics_in_summary(self, tmp_path):
+        """Pair counts and layout signatures land in summary.json, not the CSV."""
+        path = tmp_path / "manifest.yaml"
+        path.write_text(MANIFEST)
+        out = tmp_path / "cmp"
+        assert main(["compare", "-c", str(path), "-o", str(out), "--kind", "theory",
+                     "--mode", "free"]) == 0
+        curves = json.loads((out / "summary.json").read_text())["curves"]
+        assert [c["label"] for c in curves] == ["n16", "n32"]
+        for curve in curves:
+            meta = curve["meta"]
+            # 4 single-symbol rows: 12 ordered pairs; the rows match in
+            # both, the first, the second or no position
+            assert meta["evaluated_pairs"] == 12
+            assert meta["skipped_pairs"] == 0
+            assert meta["signatures"] == 4
+            assert meta["skipped_pair_fraction"] == 0.0
+        with open(out / "n16.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == [
+            "snr_db", "trials", "bit_errors", "spatial_bit_errors",
+            "symbol_bit_errors", "ber", "theory_bound", "flag",
+        ]
 
     def test_equal_rate_violation_exits_two(self, tmp_path):
         path = tmp_path / "manifest.yaml"

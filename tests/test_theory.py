@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ris_rgsm import (
     Category,
@@ -20,7 +23,13 @@ from ris_rgsm import (
     pairwise_bound,
     union_bound_ber,
 )
-from ris_rgsm.theory import BOUND_SCALES, BOUND_WEIGHTS, _bound_matrix, pair_layout
+from ris_rgsm.theory import (
+    BOUND_SCALES,
+    BOUND_WEIGHTS,
+    _block_log_mgf,
+    _bound_matrix,
+    pair_layout,
+)
 
 from _oracles import mc_difference_stats, mc_mgf, q_function
 
@@ -230,6 +239,74 @@ class TestMgf:
             mgf_quadratic_form([0.0, 0.0], [[1.0, 0.3], [0.0, 1.0]], -0.5)
 
 
+@st.composite
+def gaussian_blocks(draw):
+    """PSD covariances (possibly singular) and means over a batch shape."""
+    n = draw(st.sampled_from([2, 4]))
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    rank = draw(st.integers(1, n))
+    factor = draw(hnp.arrays(np.float64, batch + (n, rank), elements=st.floats(-3.0, 3.0)))
+    cov = np.einsum("...ik,...jk->...ij", factor, factor)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    # |m|^2 <= 9 keeps exp(x m^T A^-1 m) above the float64 underflow at x = -50
+    mean = draw(hnp.arrays(np.float64, batch + (n,), elements=st.floats(-1.5, 1.5)))
+    return cov, mean
+
+
+class TestBlockKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        blocks=gaussian_blocks(),
+        x=st.floats(-50.0, 0.0, exclude_max=True, allow_subnormal=False),
+    )
+    def test_matches_dense_mgf(self, blocks, x):
+        """The unrolled Cholesky kernel equals the dense MGF, batched and 0-d.
+
+        ``abs`` covers log values near zero (tiny ``|x|``), where both sides
+        carry the absolute rounding of ``log(1 + 2|x|c)``.
+        """
+        cov, mean = blocks
+        n = mean.shape[-1]
+        rows, cols = np.triu_indices(n)
+        upper = [cov[..., i, j] for i, j in zip(rows, cols)]
+        got = _block_log_mgf(upper, [mean[..., i] for i in range(n)], x)
+        assert np.shape(got) == mean.shape[:-1]
+        for idx in np.ndindex(mean.shape[:-1]):
+            want = math.log(mgf_quadratic_form(mean[idx], cov[idx], x))
+            assert got[idx] == pytest.approx(want, rel=1e-10, abs=1e-12)
+            single = _block_log_mgf(
+                [np.asarray(c[idx]) for c in upper],
+                [np.asarray(mean[idx + (i,)]) for i in range(n)],
+                x,
+            )
+            assert single == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    def test_indefinite_argument_raises(self):
+        """x > 0 past 1/(2 lambda_max) of one coupled block raises for the batch."""
+        cfg = make_config(
+            scheme="rgssk", mod_order=1, ring_count=1, n_rx=4,
+            combination_table=((1, 3), (1, 4), (2, 3), (2, 4)),
+        )
+        cb = Codebook(cfg)
+        # rows 0 and 3 swap both positions and leave no idle antenna: only
+        # the kernel evaluates their bound matrix
+        assert pair_layout((1, 3), (2, 4), cfg.n_rx).correct == ()
+        stats = assemble_statistics(
+            (1, 3), cb.codeword(0).symbols, (2, 4), cb.codeword(3).symbols, cfg
+        )
+        lam = max(np.linalg.eigvalsh(blk.cov)[-1] for blk in stats.swap_blocks)
+        noise_var = -lam / 0.75  # the scale-1 argument -1/noise_var is 0.75 / lam
+        with pytest.raises(MgfDomainError):
+            _bound_matrix(cb, 0, 3, noise_var)
+        with pytest.raises(MgfDomainError):
+            stats.mgf(0.75 / lam)
+        # a definite first block does not hide an indefinite second one
+        blk = stats.swap_blocks[0]
+        upper = [np.array([1e-3 * v, v]) for v in blk.cov[np.triu_indices(4)]]
+        with pytest.raises(MgfDomainError):
+            _block_log_mgf(upper, list(blk.mean), 0.75 / lam)
+
+
 class TestPairwiseBound:
     def test_q_bound_dominance_on_grid(self):
         """The three-exponential bound dominates the Gaussian tail on [0, 8]."""
@@ -326,6 +403,11 @@ class TestUnionBound:
     def test_exhaustive_refusal_above_ceiling(self, codebook):
         with pytest.raises(EnumerationRefusedError):
             union_bound_ber(codebook, 1.0, pair_ceiling=1000)
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1])
+    def test_sampled_policy_needs_two_pairs(self, codebook, samples):
+        with pytest.raises(ValueError, match="at least 2"):
+            union_bound_ber(codebook, 1.0, policy="sampled", sample_pairs=samples)
 
     def test_unknown_policy(self, codebook):
         with pytest.raises(ValueError, match="policy"):
