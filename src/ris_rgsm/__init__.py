@@ -31,18 +31,14 @@ from .detector import (
     transmit,
 )
 from .theory import (
-    Category,
     DifferenceStatistics,
     EnumerationRefusedError,
     MgfDomainError,
-    PairwiseBound,
     TheoryError,
     UnionBoundResult,
     UnsupportedPairError,
     assemble_statistics,
-    classify_antenna,
     mgf_quadratic_form,
-    pairwise_bound,
     union_bound_ber,
 )
 from .simulate import (
@@ -65,7 +61,6 @@ __all__ = [
     "BerCurve",
     "BerPoint",
     "BitErrorCounts",
-    "Category",
     "ChannelMatrix",
     "Codebook",
     "Codeword",
@@ -76,7 +71,6 @@ __all__ = [
     "EnumerationRefusedError",
     "EquivalentChannel",
     "MgfDomainError",
-    "PairwiseBound",
     "ReceivedVector",
     "ReflectionVector",
     "Scheme",
@@ -87,7 +81,6 @@ __all__ = [
     "UnsupportedPairError",
     "assemble_statistics",
     "build_combination_table",
-    "classify_antenna",
     "compare",
     "count_bit_errors",
     "detect_ml",
@@ -98,7 +91,6 @@ __all__ = [
     "merge_theory",
     "mgf_quadratic_form",
     "noise_variance",
-    "pairwise_bound",
     "precompute_equivalent_channel",
     "run_simulation",
     "run_theory",

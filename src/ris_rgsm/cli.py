@@ -1,7 +1,7 @@
 """Command-line driver: simulate, theory, compare, validate-config.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when exhaustive
-pair enumeration is refused.
+Exit codes: 0 on success, 2 on configuration errors, 3 when the union bound
+is refused above the pair ceiling.
 """
 
 from __future__ import annotations
@@ -58,19 +58,10 @@ def _int_at_least(low: int):
 
 def _add_theory_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--policy",
-        choices=["exhaustive", "sampled"],
-        default="exhaustive",
-        help="pair enumeration policy for the union bound",
-    )
-    parser.add_argument(
-        "--samples", type=_int_at_least(2), default=10_000, help="sampled-policy pair count"
-    )
-    parser.add_argument(
         "--pair-ceiling",
         type=_int_at_least(1),
         default=DEFAULT_PAIR_CEILING,
-        help="refuse exhaustive enumeration above this many ordered pairs",
+        help="refuse the union bound above this many ordered codeword pairs",
     )
 
 
@@ -133,13 +124,7 @@ def _cmd_simulate(args) -> int:
     config = _load(args, load_config)
     curve = run_simulation(config, workers=args.workers, label=args.label)
     if args.with_theory:
-        theory = run_theory(
-            config,
-            policy=args.policy,
-            sample_pairs=args.samples,
-            pair_ceiling=args.pair_ceiling,
-            label=args.label,
-        )
+        theory = run_theory(config, pair_ceiling=args.pair_ceiling, label=args.label)
         curve = merge_theory(curve, theory)
     out = _outdir(args)
     name = curve.label or "curve"
@@ -151,13 +136,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory(args) -> int:
     config = _load(args, load_config)
-    curve = run_theory(
-        config,
-        policy=args.policy,
-        sample_pairs=args.samples,
-        pair_ceiling=args.pair_ceiling,
-        label=args.label,
-    )
+    curve = run_theory(config, pair_ceiling=args.pair_ceiling, label=args.label)
     out = _outdir(args)
     name = (curve.label or "curve") + "_theory"
     write_curve_csv(curve, out / f"{name}.csv")
@@ -174,8 +153,6 @@ def _cmd_compare(args) -> int:
         kind=args.kind,
         target_ber=args.target_ber,
         workers=args.workers,
-        policy=args.policy,
-        sample_pairs=args.samples,
         pair_ceiling=args.pair_ceiling,
     )
     out = _outdir(args)

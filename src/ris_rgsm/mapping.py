@@ -2,9 +2,9 @@
 
 The codebook enumerates every transmit hypothesis as a (combination row,
 symbol index) pair.  Symbol indices factor out of the spatial part, so a
-codeword index is always ``row * symbols_per_row + symbol_index`` and the
-bit label is the concatenation of the spatial bits and the per-group (or
-shared) symbol bits.
+codeword index is always ``row * symbols_per_row + symbol_index`` and its
+bit label is the index in natural binary: the spatial bits, then the
+per-group (or shared) symbol bits.
 """
 
 from __future__ import annotations
@@ -35,8 +35,11 @@ def gray_decode(code: int) -> int:
     return index
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+def int_to_bits(value, width: int) -> np.ndarray:
+    """Natural-binary bits of an integer (or index array), most significant
+    first: shape ``(..., width)``."""
+    shifts = np.arange(width - 1, -1, -1)
+    return ((np.asarray(value)[..., None] >> shifts) & 1).astype(np.uint8)
 
 
 # -- constellations ------------------------------------------------------------
@@ -165,7 +168,7 @@ class Codeword:
 
 
 class Codebook:
-    """All ``2**rate`` codewords of a validated config, plus bit labels.
+    """All ``2**rate`` codewords of a validated config.
 
     Attributes
     ----------
@@ -177,7 +180,6 @@ class Codebook:
     carriers : (symbols_per_row,) complex
         Carrier symbol sent by the transmit antenna (non-unit only for the
         diversity scheme).
-    bit_table : (size, rate) uint8 array of codeword bit labels.
     """
 
     def __init__(self, config: SystemConfig):
@@ -186,7 +188,6 @@ class Codebook:
         self.combinations = build_combination_table(config)
         self.offsets = stagger_offsets(config)
         self._build_symbols()
-        self._build_bits()
 
     # construction helpers
 
@@ -252,20 +253,6 @@ class Codebook:
             idx //= order
         return labels
 
-    def _build_bits(self):
-        cfg = self.config
-        rate = cfg.rate
-        size = self.size
-        bits = np.zeros((size, rate), dtype=np.uint8)
-        rows = np.arange(size) // self.symbols_per_row
-        syms = np.arange(size) % self.symbols_per_row
-        for b in range(cfg.spatial_bits):
-            bits[:, b] = (rows >> (cfg.spatial_bits - 1 - b)) & 1
-        width = rate - cfg.spatial_bits
-        for b in range(width):
-            bits[:, cfg.spatial_bits + b] = (syms >> (width - 1 - b)) & 1
-        self.bit_table = bits
-
     # public surface
 
     @property
@@ -309,4 +296,4 @@ class Codebook:
         index = codeword.index
         if np.count_nonzero((index < 0) | (index >= self.size)):
             raise ConfigError(f"codeword index {index} not in this codebook")
-        return self.bit_table[index].copy()
+        return int_to_bits(index, self.config.rate)

@@ -30,7 +30,7 @@ from .detector import (
     transmit,
 )
 from .encoder import encode
-from .mapping import Codebook
+from .mapping import Codebook, int_to_bits
 from .theory import DEFAULT_PAIR_CEILING, union_bound_ber
 
 UNRELIABLE_ERROR_COUNT = 10
@@ -118,7 +118,8 @@ def _block_counts(config: SystemConfig, snr_db: float, block_index: int, block_s
         symbol_energy=cfg.symbol_energy,
     )
     detected = ml_argmin(received.samples, precompute_equivalent_channel(channel, cfg), cb)
-    return (block_size, *count_bit_errors(bits, cb.bit_table[detected], cfg.spatial_bits))
+    labels = int_to_bits(detected, cfg.rate)
+    return (block_size, *count_bit_errors(bits, labels, cfg.spatial_bits))
 
 
 def _block_job(payload):
@@ -220,8 +221,6 @@ def run_simulation(
 def run_theory(
     config: SystemConfig,
     *,
-    policy: str = "exhaustive",
-    sample_pairs: int = 10_000,
     pair_ceiling: int = DEFAULT_PAIR_CEILING,
     label: str = "",
 ) -> BerCurve:
@@ -234,11 +233,7 @@ def run_theory(
     for snr in sorted(config.snr_grid_db):
         start = time.perf_counter()
         result = union_bound_ber(
-            codebook,
-            noise_variance(snr, config.symbol_energy),
-            policy,
-            sample_pairs=sample_pairs,
-            pair_ceiling=pair_ceiling,
+            codebook, noise_variance(snr, config.symbol_energy), pair_ceiling=pair_ceiling
         )
         points.append(
             BerPoint(
@@ -261,7 +256,6 @@ def run_theory(
         # the codebook fixes the pair counts, so every point shares them
         meta={
             "kind": "theory",
-            "policy": policy,
             "skipped_pair_fraction": result.skipped_fraction,
             "evaluated_pairs": result.evaluated_pairs,
             "skipped_pairs": result.skipped_pairs,
@@ -360,8 +354,6 @@ def compare(
     kind: str = "both",
     target_ber: float = 1e-3,
     workers: int = 1,
-    policy: str = "exhaustive",
-    sample_pairs: int = 10_000,
     pair_ceiling: int = DEFAULT_PAIR_CEILING,
 ) -> CompareResult:
     """Run every manifest entry and report pairwise SNR gaps at a target BER."""
@@ -380,13 +372,7 @@ def compare(
         if kind in ("sim", "both"):
             sim = run_simulation(cfg, workers=workers, label=label)
         if kind in ("theory", "both"):
-            theory = run_theory(
-                cfg,
-                policy=policy,
-                sample_pairs=sample_pairs,
-                pair_ceiling=pair_ceiling,
-                label=label,
-            )
+            theory = run_theory(cfg, pair_ceiling=pair_ceiling, label=label)
         if sim is not None and theory is not None:
             curves.append(merge_theory(sim, theory))
         else:

@@ -29,27 +29,42 @@ closed forms.  A coupled 4x4 block goes through one kernel,
 :func:`_block_log_mgf`: a Cholesky factorization of ``I - 2xC`` unrolled
 over the block's entries plus a forward substitution, written as numpy
 elementwise operations, so the same code evaluates one pair
-(:meth:`DifferenceStatistics.mgf`, 0-d entries) and all symbol pairs of a
-row-pair layout at once (:func:`_layout_bound_matrix`, ``(Q, Q)`` entries).
+(:meth:`DifferenceStatistics.mgf`, 0-d entries) and a batch of blocks.
+Every domain check (``I - 2xC`` positive definite) comes before any log.
+
+:func:`union_bound_ber` sums the bound over every supported ordered pair
+exactly, without visiting the pairs one by one:
+
+* a pair's statistics depend on its rows only through which positions match
+  (the layout signature), so row pairs are grouped by signature;
+* within a layout, a pair's MGF depends on its symbols only through
+  rotation-invariant keys, ``|s - s_hat|**2`` at a matched position and
+  ``(|s|, |s_hat|)`` at a swapped one (rotating each antenna's plane by the
+  phase of its own symbol leaves the quadratic form's distribution
+  unchanged; see Mathai & Provost, *Quadratic Forms in Random Variables*,
+  1992, for the moments of Gaussian quadratic forms);
+* a symbol label is a concatenation of independent factor labels (one per
+  group for MUX, one shared label for diversity and RGSSK), so each factor's
+  label pairs are grouped by key, and the MGF is evaluated once per tuple
+  of factor keys, weighted by its pair count and label Hamming sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import SystemConfig
-from .mapping import Codebook, Codeword
+from .mapping import Codebook
 
 
 BOUND_WEIGHTS = (1.0 / 6.0, 1.0 / 12.0, 1.0 / 4.0)
 BOUND_SCALES = (1.0, 2.0, 4.0)  # MGF arguments are -1/(scale * noise_var)
 
-DEFAULT_PAIR_CEILING = 10_000_000
+DEFAULT_PAIR_CEILING = 2**27  # admits rate 13 (6.7e7 ordered pairs), refuses rate 15
 
 
 class TheoryError(ValueError):
@@ -66,46 +81,6 @@ class UnsupportedPairError(ValueError):
 
 class EnumerationRefusedError(RuntimeError):
     """Exhaustive pair enumeration exceeds the configured ceiling."""
-
-
-class Category(Enum):
-    UNSELECTED = "unselected"
-    SELECTED_CORRECT = "selected_correct"
-    SWAP_SOURCE = "swap_source"
-    SWAP_TARGET = "swap_target"
-
-
-class AntennaRole(NamedTuple):
-    category: Category
-    position: int | None  # 0-based group index, where applicable
-    partner: int | None  # paired antenna (1-based) for swap roles
-
-
-def classify_antenna(antenna: int, combination, combination_hat) -> AntennaRole:
-    """Role of one receive antenna for an ordered hypothesis pair.
-
-    Raises
-    ------
-    UnsupportedPairError
-        If the antenna is selected by both hypotheses at different
-        positions (outside the position-wise taxonomy).
-    """
-    c = tuple(combination)
-    c_hat = tuple(combination_hat)
-    pos = c.index(antenna) if antenna in c else None
-    pos_hat = c_hat.index(antenna) if antenna in c_hat else None
-    if pos is None and pos_hat is None:
-        return AntennaRole(Category.UNSELECTED, None, None)
-    if pos is not None and pos_hat is not None:
-        if pos != pos_hat:
-            raise UnsupportedPairError(
-                f"antenna {antenna} selected at position {pos + 1} of {c} but "
-                f"position {pos_hat + 1} of {c_hat}"
-            )
-        return AntennaRole(Category.SELECTED_CORRECT, pos, None)
-    if pos is not None:
-        return AntennaRole(Category.SWAP_SOURCE, pos, c_hat[pos])
-    return AntennaRole(Category.SWAP_TARGET, pos_hat, c[pos_hat])
 
 
 class PairLayout(NamedTuple):
@@ -413,138 +388,35 @@ def mgf_quadratic_form(mean, cov, x: float) -> float:
     return math.exp(-0.5 * logdet + x * float(m @ z))
 
 
-# -- pairwise bound ---------------------------------------------------------------
+# -- union bound ------------------------------------------------------------------
 
+# keys closer than this (relative to the largest key of their table) are the
+# same key: equal moduli and distances computed along different rounding paths
+_KEY_RESOLUTION = 2.0**-40
 
-@dataclass(frozen=True)
-class PairwiseBound:
-    source_index: int
-    target_index: int
-    value: float
-    bit_errors: int
+_BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 
 
 def _mgf_arguments(noise_var: float) -> tuple[float, ...]:
     return tuple(-1.0 / (scale * noise_var) for scale in BOUND_SCALES)
 
 
-def pairwise_bound(
-    source: Codeword, target: Codeword, noise_var: float, codebook: Codebook
-) -> PairwiseBound:
-    """Exponential upper bound of the average pairwise error probability."""
-    if source.index == target.index:
-        raise ValueError("pairwise bound needs two distinct codewords")
-    stats = assemble_statistics(
-        source.combination, source.symbols, target.combination, target.symbols,
-        codebook.config,
-    )
-    value = sum(
-        w * stats.mgf(x) for w, x in zip(BOUND_WEIGHTS, _mgf_arguments(noise_var))
-    )
-    errors = int(
-        np.count_nonzero(codebook.bit_table[source.index] != codebook.bit_table[target.index])
-    )
-    return PairwiseBound(
-        source_index=source.index,
-        target_index=target.index,
-        value=float(value),
-        bit_errors=errors,
-    )
-
-
-# -- vectorized row-pair kernel ---------------------------------------------------
-
-
-def _bound_matrix(codebook: Codebook, row: int, row_hat: int, noise_var: float):
-    """Pairwise bounds for all symbol pairs of one ordered row pair.
-
-    Returns a ``(symbols_per_row, symbols_per_row)`` array, or ``None`` if
-    the row pair falls outside the antenna taxonomy.
-    """
-    cfg = codebook.config
-    c = tuple(int(v) for v in codebook.combinations[row])
-    c_hat = tuple(int(v) for v in codebook.combinations[row_hat])
-    try:
-        layout = pair_layout(c, c_hat, cfg.n_rx)
-    except UnsupportedPairError:
-        return None
-    return _layout_bound_matrix(codebook, layout.correct, noise_var)
-
-
-def _layout_bound_matrix(codebook: Codebook, correct, noise_var: float):
-    """Bound matrix for a row-pair *layout*.
-
-    The per-antenna statistics are invariant under relabeling antennas, so
-    the matrix depends on the row pair only through which positions match;
-    every mismatched position couples one fresh source/target antenna pair
-    and the remaining ``n_rx - n_active - #mismatches`` antennas are idle.
-
-    All blocks are evaluated at once over the ``(Q, Q)`` grid of symbol
-    pairs (``Q`` symbols per row).  Idle antennas and matched 2x2 blocks
-    have closed forms; each mismatched position's coupled 4x4 block enters
-    as its ten covariance and four mean entries, each a ``(Q, Q)``-
-    broadcastable array built once for the three MGF arguments, and goes
-    through the elementwise Cholesky kernel :func:`_block_log_mgf`.
-    """
-    cfg = codebook.config
-    correct = tuple(correct)
-    swapped = tuple(l for l in range(cfg.n_active) if l not in correct)
-    n_unselected = cfg.n_rx - cfg.n_active - len(swapped)
-
-    s_all = codebook.group_symbols  # (Q, n_active)
-    n_g = cfg.n_group
-    half = n_g / 2.0
-    c_mean = n_g * math.sqrt(math.pi) / 2.0
-    c_aniso = n_g * (4.0 - math.pi) / 4.0
-
-    count = s_all.shape[0]
-    total = np.zeros((count, count))
-    for l in range(cfg.n_active):
-        s = s_all[:, l][:, None]
-        s_hat = s_all[:, l][None, :]
-        if l in correct:
-            total = total + np.abs(s - s_hat) ** 2
-        else:
-            total = total + np.abs(s) ** 2 + np.abs(s_hat) ** 2
-
-    matched = []
-    for l in correct:
-        delta = s_all[:, l][:, None] - s_all[:, l][None, :]
-        d2 = np.abs(delta) ** 2
-        q = half * (total - d2)
-        matched.append((q, q + c_aniso * d2, c_mean * c_mean * d2))
-    swaps = [
-        _swap_entries(s_all[:, l][:, None], s_all[:, l][None, :], total, n_g)
-        for l in swapped
-    ]
-
-    bound = np.zeros((count, count))
-    for weight, x in zip(BOUND_WEIGHTS, _mgf_arguments(noise_var)):
-        log_m = np.zeros((count, count))
-        if n_unselected:
-            log_m -= n_unselected * np.log(1.0 - 2.0 * x * half * total)
-        for q, along, mean_sq in matched:
-            e_iso = 1.0 - 2.0 * x * q
-            e_along = 1.0 - 2.0 * x * along
-            log_m += -0.5 * (np.log(e_iso) + np.log(e_along))
-            log_m += x * mean_sq / e_along
-        for cov, mean in swaps:
-            log_m += _block_log_mgf(cov, mean, x)
-        bound += weight * np.exp(log_m)
-    return bound
-
-
-# -- union bound ------------------------------------------------------------------
+def _popcount(values) -> np.ndarray:
+    """Set bits of non-negative integers, elementwise."""
+    values = np.asarray(values, dtype=np.int64)
+    count = np.zeros(values.shape, dtype=np.int64)
+    while np.any(values):
+        count += _BYTE_POPCOUNT[values & 0xFF]
+        values = values >> 8
+    return count
 
 
 @dataclass(frozen=True)
 class UnionBoundResult:
     value: float
-    policy: str
     evaluated_pairs: int
     skipped_pairs: int
-    std_error: float | None = None
-    signatures: int | None = None  # distinct row-pair layouts (exhaustive policy)
+    signatures: int  # distinct row-pair layouts
 
     @property
     def skipped_fraction(self) -> float:
@@ -552,105 +424,189 @@ class UnionBoundResult:
         return self.skipped_pairs / total if total else 0.0
 
 
-def _symbol_hamming(codebook: Codebook) -> np.ndarray:
-    bits = codebook.bit_table[: codebook.symbols_per_row, codebook.config.spatial_bits :]
-    return np.count_nonzero(bits[:, None, :] != bits[None, :, :], axis=-1)
+def _label_factors(codebook: Codebook) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Independent factors of a row's symbol label.
+
+    Each factor is ``(positions, symbols)``: the positions it drives and
+    their ``(M, len(positions))`` symbols by factor label.  A MUX label
+    concatenates one label per group, first group most significant, so each
+    group is a factor; diversity and RGSSK rows send one shared symbol, a
+    single factor over all positions.
+    """
+    cfg = codebook.config
+    symbols = codebook.group_symbols
+    if not cfg.scheme.is_mux:
+        return [(tuple(range(cfg.n_active)), symbols)]
+    m = cfg.mod_order
+    labels = np.arange(m)
+    return [
+        ((l,), symbols[labels * m ** (cfg.n_active - 1 - l), l : l + 1])
+        for l in range(cfg.n_active)
+    ]
 
 
-def _spatial_hamming(codebook: Codebook) -> np.ndarray:
-    bits = codebook.bit_table[:: codebook.symbols_per_row, : codebook.config.spatial_bits]
-    return np.count_nonzero(bits[:, None, :] != bits[None, :, :], axis=-1)
+class _FactorKeys(NamedTuple):
+    """Distinct rotation-invariant keys of one factor's label pairs."""
+
+    matched: tuple[bool, ...]  # per position of the factor
+    s: np.ndarray  # (K, len(positions)) true symbols of each key's first pair
+    s_hat: np.ndarray  # (K, len(positions)) wrong symbols of that pair
+    count: np.ndarray  # (K,) label pairs with the key
+    hamming: np.ndarray  # (K,) summed label Hamming distance of those pairs
+
+
+def _factor_keys(positions, symbols: np.ndarray, correct) -> _FactorKeys:
+    """Group a factor's ``(M, M)`` label pairs by their blocks' keys in a
+    layout whose matched positions are ``correct``.
+
+    A matched position's blocks see its symbols only through ``|s - s_hat|``
+    and a swapped position's only through ``(|s|, |s_hat|)``: rotating each
+    antenna's plane by the phase of its own symbol leaves ``||Z||^2``
+    unchanged.  Pairs with equal keys at every position share one MGF.
+    """
+    matched = tuple(l in correct for l in positions)
+    m = symbols.shape[0]
+    s = np.repeat(symbols, m, axis=0)
+    s_hat = np.tile(symbols, (m, 1))
+    labels = np.arange(m)
+    hamming = _popcount(np.repeat(labels, m) ^ np.tile(labels, m))
+    columns = []
+    for p, is_matched in enumerate(matched):
+        if is_matched:
+            new = [np.abs(s[:, p] - s_hat[:, p]) ** 2]
+        else:
+            new = [np.abs(s[:, p]) ** 2, np.abs(s_hat[:, p]) ** 2]
+        # positions sharing one symbol repeat their columns
+        columns += [c for c in new if not any(np.array_equal(c, k) for k in columns)]
+    keys = np.stack(columns)
+    keys = np.round(keys / (_KEY_RESOLUTION * max(float(keys.max()), 1e-300)))
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    first = np.ones(m * m, dtype=bool)
+    first[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    group = np.empty(m * m, dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    rep = order[first]
+    return _FactorKeys(
+        matched=matched,
+        s=s[rep],
+        s_hat=s_hat[rep],
+        count=np.bincount(group),
+        hamming=np.bincount(group, weights=hamming),
+    )
+
+
+def _layout_sums(codebook: Codebook, correct, noise_var: float):
+    """``(sum B, sum B * symbol Hamming)`` over all symbol pairs of the
+    row-pair layout whose matched positions are ``correct``.
+
+    ``B`` is the three-term bound of one symbol pair.  It is evaluated once
+    per tuple of factor keys: each factor's keys lie along its own axis, the
+    pair count of a tuple is the product of the factors' counts and its
+    Hamming sum ``sum_f h_f prod_{g != f} n_g``.  The three MGF arguments
+    lie along a leading axis.
+    """
+    cfg = codebook.config
+    keys = [_factor_keys(*factor, correct) for factor in _label_factors(codebook)]
+    n_unselected = cfg.n_rx - 2 * cfg.n_active + len(correct)
+    n_g = cfg.n_group
+    half = n_g / 2.0
+    c_mean = n_g * math.sqrt(math.pi) / 2.0
+    c_aniso = n_g * (4.0 - math.pi) / 4.0
+    n_f = len(keys)
+    x = np.reshape(_mgf_arguments(noise_var), (-1,) + (1,) * n_f)
+
+    total = 0.0
+    matched = []  # |s - s_hat|^2 per matched position
+    swapped = []  # (|s|, |s_hat|) per swapped position
+    count = 1.0
+    hamming = 0.0
+    for f, key in enumerate(keys):
+        axis = (-1,) + (1,) * (n_f - 1 - f)
+        n, h = key.count.reshape(axis), key.hamming.reshape(axis)
+        hamming = hamming * n + h * count
+        count = count * n
+        for p, is_matched in enumerate(key.matched):
+            if is_matched:
+                d2 = (np.abs(key.s[:, p] - key.s_hat[:, p]) ** 2).reshape(axis)
+                total = total + d2
+                matched.append(d2)
+            else:
+                mod = np.abs(key.s[:, p]).reshape(axis)
+                mod_hat = np.abs(key.s_hat[:, p]).reshape(axis)
+                total = total + mod**2 + mod_hat**2
+                swapped.append((mod, mod_hat))
+
+    log_m = 0.0
+    if n_unselected:
+        edge = 1.0 - 2.0 * x * half * total
+        if not np.all(edge > 0):
+            raise MgfDomainError(f"argument x={x.ravel()} leaves the idle antennas indefinite")
+        log_m = log_m - n_unselected * np.log(edge)
+    for d2 in matched:
+        q = half * (total - d2)
+        e_iso = 1.0 - 2.0 * x * q
+        e_along = 1.0 - 2.0 * x * (q + c_aniso * d2)
+        if not (np.all(e_iso > 0) and np.all(e_along > 0)):
+            raise MgfDomainError(f"argument x={x.ravel()} leaves a matched block indefinite")
+        log_m = log_m - 0.5 * (np.log(e_iso) + np.log(e_along))
+        log_m = log_m + x * (c_mean * c_mean * d2) / e_along
+    for mod, mod_hat in swapped:
+        cov, mean = _swap_entries(mod, mod_hat, total, n_g)
+        log_m = log_m + _block_log_mgf(cov, mean, x)
+    bound = 0.0
+    for weight, values in zip(BOUND_WEIGHTS, np.exp(log_m)):
+        bound = bound + weight * values
+    return float(np.sum(count * bound)), float(np.sum(hamming * bound))
 
 
 def union_bound_ber(
-    codebook: Codebook,
-    noise_var: float,
-    policy: str = "exhaustive",
-    *,
-    pair_ceiling: int = DEFAULT_PAIR_CEILING,
-    sample_pairs: int = 10_000,
-    rng: np.random.Generator | None = None,
+    codebook: Codebook, noise_var: float, *, pair_ceiling: int = DEFAULT_PAIR_CEILING
 ) -> UnionBoundResult:
-    """Bit-error-weighted union bound on the average BER.
+    """Bit-error-weighted union bound on the average BER over all ordered pairs.
 
-    ``policy`` is ``"exhaustive"`` (all ordered codeword pairs; refused above
-    ``pair_ceiling``) or ``"sampled"`` (``sample_pairs >= 2`` uniform random
-    ordered pairs with unbiased scaling).  Pairs outside the antenna taxonomy
-    contribute zero and are reported through ``skipped_pairs``.
+    Refused with :class:`EnumerationRefusedError` above ``pair_ceiling``
+    ordered pairs.  Pairs outside the antenna taxonomy contribute zero and
+    are reported through ``skipped_pairs``.  A codeword's label is its index
+    in natural binary, so the bit errors of a pair are the set bits of the
+    XOR of the row indices plus those of the factor labels.
     """
+    cfg = codebook.config
     size = codebook.size
-    rate = codebook.config.rate
     ordered = size * (size - 1)
-
-    if policy == "exhaustive":
-        if ordered > pair_ceiling:
-            raise EnumerationRefusedError(
-                f"{ordered} ordered pairs exceed the ceiling of {pair_ceiling}; "
-                "opt into the sampled policy"
-            )
-        sym_hd = _symbol_hamming(codebook)
-        spa_hd = _spatial_hamming(codebook)
-        n_rows = codebook.combinations.shape[0]
-        per_row = codebook.symbols_per_row
-        combos = [tuple(int(v) for v in row) for row in codebook.combinations]
-        # the bound matrix depends on the row pair only through which
-        # positions match, so group row pairs by that signature
-        signatures: dict[tuple[int, ...], list[int]] = {}
-        skipped = 0
-        for row in range(n_rows):
-            for row_hat in range(n_rows):
-                try:
-                    layout = pair_layout(combos[row], combos[row_hat], codebook.config.n_rx)
-                except UnsupportedPairError:
-                    skipped += per_row * per_row
-                    continue
-                entry = signatures.setdefault(layout.correct, [0, 0])
-                entry[0] += 1
-                entry[1] += int(spa_hd[row, row_hat])
-        total = 0.0
-        for correct, (pair_count, spatial_sum) in signatures.items():
-            bound = _layout_bound_matrix(codebook, correct, noise_var)
-            # diagonal symbol pairs carry zero Hamming weight, so the
-            # same-codeword entries of same-row pairs drop out by themselves
-            total += spatial_sum * float(np.sum(bound))
-            total += pair_count * float(np.sum(bound * sym_hd))
-        evaluated = ordered - skipped
-        return UnionBoundResult(
-            value=total / (size * rate),
-            policy=policy,
-            evaluated_pairs=evaluated,
-            skipped_pairs=skipped,
-            signatures=len(signatures),
+    if ordered > pair_ceiling:
+        raise EnumerationRefusedError(
+            f"{ordered} ordered pairs exceed the ceiling of {pair_ceiling}; "
+            "raise --pair-ceiling to evaluate them"
         )
-
-    if policy != "sampled":
-        raise ValueError(f"unknown enumeration policy {policy!r}")
-    if sample_pairs < 2:
-        raise ValueError(
-            f"the sampled policy needs at least 2 pairs for its standard error, got {sample_pairs}"
-        )
-
-    rng = rng if rng is not None else np.random.default_rng(codebook.config.seed)
-    sources = rng.integers(0, size, size=sample_pairs)
-    offsets = rng.integers(1, size, size=sample_pairs)
-    targets = (sources + offsets) % size
-    terms = np.zeros(sample_pairs)
+    per_row = codebook.symbols_per_row
+    combos = [tuple(int(v) for v in row) for row in codebook.combinations]
+    rows = np.arange(len(combos))
+    spatial_hamming = _popcount(rows[:, None] ^ rows[None, :]).tolist()
+    # a pair's statistics depend on its rows only through which positions
+    # match, so group row pairs by that signature
+    signatures: dict[tuple[int, ...], list[int]] = {}
     skipped = 0
-    for k in range(sample_pairs):
-        src = codebook.codeword(int(sources[k]))
-        dst = codebook.codeword(int(targets[k]))
-        try:
-            pb = pairwise_bound(src, dst, noise_var, codebook)
-        except UnsupportedPairError:
-            skipped += 1
-            continue
-        terms[k] = pb.value * pb.bit_errors
-    value = (size - 1) * float(np.mean(terms)) / rate
-    std_error = (size - 1) * float(np.std(terms, ddof=1)) / math.sqrt(sample_pairs) / rate
+    for row, c in enumerate(combos):
+        for row_hat, c_hat in enumerate(combos):
+            try:
+                layout = pair_layout(c, c_hat, cfg.n_rx)
+            except UnsupportedPairError:
+                skipped += per_row * per_row
+                continue
+            entry = signatures.setdefault(layout.correct, [0, 0])
+            entry[0] += 1
+            entry[1] += spatial_hamming[row][row_hat]
+
+    total = 0.0
+    for correct, (pair_count, spatial_sum) in signatures.items():
+        bound_sum, hamming_sum = _layout_sums(codebook, correct, noise_var)
+        # same-codeword pairs have zero Hamming weight (and a same-row
+        # signature zero spatial weight), so they drop out by themselves
+        total += spatial_sum * bound_sum + pair_count * hamming_sum
     return UnionBoundResult(
-        value=value,
-        policy=policy,
-        evaluated_pairs=sample_pairs - skipped,
+        value=total / (size * cfg.rate),
+        evaluated_pairs=ordered - skipped,
         skipped_pairs=skipped,
-        std_error=std_error,
+        signatures=len(signatures),
     )

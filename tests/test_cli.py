@@ -187,32 +187,33 @@ class TestTheoryCommand:
     @pytest.mark.parametrize(
         "option,value,message",
         [
-            ("--samples", "0", "--samples: must be at least 2"),
-            ("--samples", "1", "--samples: must be at least 2"),
-            ("--samples", "ten", "--samples: expected an integer"),
             ("--pair-ceiling", "-5", "--pair-ceiling: must be at least 1"),
             ("--pair-ceiling", "0", "--pair-ceiling: must be at least 1"),
+            ("--pair-ceiling", "ten", "--pair-ceiling: expected an integer"),
         ],
     )
     @pytest.mark.parametrize("command", ["theory", "simulate", "compare"])
     def test_bad_theory_option_exits_two(self, good_config, tmp_path, capsys,
                                          command, option, value, message):
-        argv = [command, "-c", str(good_config), "-o", str(tmp_path / "out"),
-                "--policy", "sampled", option, value]
+        argv = [command, "-c", str(good_config), "-o", str(tmp_path / "out"), option, value]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_sampled_policy_allowed_above_ceiling(self, tmp_path):
+    def test_rate_13_runs_with_default_flags(self, tmp_path):
         path = tmp_path / "big.yaml"
         path.write_text(BIG_CODEBOOK)
-        code = main(
-            ["theory", "-c", str(path), "-o", str(tmp_path / "out"),
-             "--pair-ceiling", "100000", "--policy", "sampled", "--samples", "200"]
-        )
-        assert code == 0
+        out = tmp_path / "out"
+        assert main(["theory", "-c", str(path), "-o", str(out)]) == 0
+        with open(out / "mux_psk_theory.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and float(rows[0]["theory_bound"]) > 0
+        summary = json.loads((out / "summary.json").read_text())
+        meta = summary["curves"][0]["meta"]
+        assert meta["evaluated_pairs"] + meta["skipped_pairs"] == 8192 * 8191
+        assert "policy" not in meta
 
 
 class TestCompareCommand:

@@ -34,6 +34,7 @@ from ris_rgsm.detector import (
     transmit,
 )
 from ris_rgsm.encoder import encode
+from ris_rgsm.mapping import int_to_bits
 from ris_rgsm import simulate
 from ris_rgsm.simulate import (
     BerCurve,
@@ -227,7 +228,7 @@ def test_sweep_block_matches_per_trial_calls(kwargs):
     hypotheses = hypothesis_matrix(equiv, cb)
     detected = ml_argmin(received.samples, equiv, cb)
     assert np.array_equal(detected, dense_ml_argmin(received.samples, hypotheses))
-    counts = count_bit_errors(bits, cb.bit_table[detected], cfg.spatial_bits)
+    counts = count_bit_errors(bits, int_to_bits(detected, cfg.rate), cfg.spatial_bits)
     assert (size, *counts) == _block_counts(cfg, snr_db, block_index, size)
     assert counts.total > 0
 

@@ -1,6 +1,7 @@
-"""Tests for the analytical BER machinery: categories, statistics, MGF, bound."""
+"""Tests for the analytical BER machinery: layouts, statistics, MGF, bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ris_rgsm import (
-    Category,
     Codebook,
     EnumerationRefusedError,
     MgfDomainError,
@@ -17,21 +17,29 @@ from ris_rgsm import (
     TheoryError,
     UnsupportedPairError,
     assemble_statistics,
-    classify_antenna,
     mgf_quadratic_form,
     noise_variance,
-    pairwise_bound,
     union_bound_ber,
 )
+from ris_rgsm.mapping import int_to_bits
 from ris_rgsm.theory import (
     BOUND_SCALES,
     BOUND_WEIGHTS,
+    DEFAULT_PAIR_CEILING,
     _block_log_mgf,
-    _bound_matrix,
+    _layout_sums,
+    _popcount,
     pair_layout,
 )
 
-from _oracles import mc_difference_stats, mc_mgf, q_function
+from _oracles import (
+    brute_force_union_bound,
+    layout_union_bound,
+    mc_difference_stats,
+    mc_mgf,
+    pair_bound,
+    q_function,
+)
 
 
 def make_config(**overrides):
@@ -48,25 +56,33 @@ def codebook():
     return Codebook(make_config())
 
 
+def codeword_stats(codebook, index, index_hat):
+    src, dst = codebook.codeword(index), codebook.codeword(index_hat)
+    return assemble_statistics(
+        src.combination, src.symbols, dst.combination, dst.symbols, codebook.config
+    )
+
+
 class TestClassification:
     def test_unselected(self):
-        role = classify_antenna(2, (1, 3), (1, 3))
-        assert role.category is Category.UNSELECTED
+        assert 2 in pair_layout((1, 3), (1, 3), 5).unselected
 
     def test_selected_correct(self):
-        role = classify_antenna(1, (1, 3), (1, 4))
-        assert role.category is Category.SELECTED_CORRECT
-        assert role.position == 0
+        layout = pair_layout((1, 3), (1, 4), 5)
+        assert 0 in layout.correct  # antenna 1 matches at position 0
+        assert 1 not in layout.unselected
 
     def test_swap_pairing(self):
-        src = classify_antenna(3, (1, 3), (1, 4))
-        dst = classify_antenna(4, (1, 3), (1, 4))
-        assert src.category is Category.SWAP_SOURCE and src.partner == 4
-        assert dst.category is Category.SWAP_TARGET and dst.partner == 3
+        c, c_hat = (1, 3), (1, 4)
+        layout = pair_layout(c, c_hat, 5)
+        # antenna 3 is decoded to its swap partner 4 at position 1
+        assert layout.swapped == (1,)
+        assert (c[1], c_hat[1]) == (3, 4)
+        assert 3 not in layout.unselected and 4 not in layout.unselected
 
     def test_cross_position_rejected(self):
         with pytest.raises(UnsupportedPairError):
-            classify_antenna(3, (1, 3), (3, 5))
+            pair_layout((1, 3), (3, 5), 5)
 
     def test_pair_layout_cross_position(self):
         with pytest.raises(UnsupportedPairError):
@@ -289,7 +305,7 @@ class TestBlockKernel:
         )
         cb = Codebook(cfg)
         # rows 0 and 3 swap both positions and leave no idle antenna: only
-        # the kernel evaluates their bound matrix
+        # the kernel evaluates their layout
         assert pair_layout((1, 3), (2, 4), cfg.n_rx).correct == ()
         stats = assemble_statistics(
             (1, 3), cb.codeword(0).symbols, (2, 4), cb.codeword(3).symbols, cfg
@@ -297,7 +313,7 @@ class TestBlockKernel:
         lam = max(np.linalg.eigvalsh(blk.cov)[-1] for blk in stats.swap_blocks)
         noise_var = -lam / 0.75  # the scale-1 argument -1/noise_var is 0.75 / lam
         with pytest.raises(MgfDomainError):
-            _bound_matrix(cb, 0, 3, noise_var)
+            _layout_sums(cb, (), noise_var)
         with pytest.raises(MgfDomainError):
             stats.mgf(0.75 / lam)
         # a definite first block does not hide an indefinite second one
@@ -323,23 +339,48 @@ class TestPairwiseBound:
         assert BOUND_SCALES == (1.0, 2.0, 4.0)
 
     def test_high_noise_limit_half(self, codebook):
-        pb = pairwise_bound(codebook.codeword(0), codebook.codeword(1), 1e12, codebook)
-        assert pb.value == pytest.approx(0.5, rel=1e-4)
+        assert pair_bound(codeword_stats(codebook, 0, 1), 1e12) == pytest.approx(0.5, rel=1e-4)
 
     def test_low_noise_limit_zero_and_monotone(self, codebook):
-        src, dst = codebook.codeword(0), codebook.codeword(1)
-        values = [
-            pairwise_bound(src, dst, noise_variance(snr), codebook).value
-            for snr in (-20.0, -10.0, 0.0, 10.0)
-        ]
+        stats = codeword_stats(codebook, 0, 1)
+        values = [pair_bound(stats, noise_variance(snr)) for snr in (-20.0, -10.0, 0.0, 10.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-12
 
     def test_bit_error_count_from_labels(self, codebook):
-        src, dst = codebook.codeword(0), codebook.codeword(3)
-        pb = pairwise_bound(src, dst, 1.0, codebook)
-        expected = int(np.count_nonzero(codebook.bit_table[0] != codebook.bit_table[3]))
-        assert pb.bit_errors == expected
+        """The bound's label Hamming weights are the popcounts of index XORs."""
+        index = np.arange(codebook.size)
+        labels = int_to_bits(index, codebook.config.rate)
+        expected = np.count_nonzero(labels[:, None, :] != labels[None, :, :], axis=-1)
+        assert np.array_equal(_popcount(index[:, None] ^ index[None, :]), expected)
+        assert np.array_equal(codebook.unmap(codebook.codeword(index)), labels)
+        assert _popcount(np.array([0, 1, 255, 256, 2**40 - 1])).tolist() == [0, 1, 8, 1, 40]
+
+
+# small codebooks of every scheme for the pair-by-pair oracle
+SMALL_CODEBOOKS = {
+    "mux-psk": dict(scheme="mux_psk", mod_order=4, ring_count=1, n_rx=4),
+    "mux-apsk": dict(scheme="mux_apsk", mod_order=4, ring_count=2, n_rx=4),
+    "diversity": dict(
+        scheme="diversity", mod_order=8, ring_count=2, n_rx=4, diversity_constellation="apsk"
+    ),
+    "rgssk": dict(scheme="rgssk", mod_order=1, ring_count=1, n_rx=6),
+    "n3-psk": dict(
+        scheme="mux_psk", mod_order=2, ring_count=1, n_rx=6, n_active=3, n_elements=48
+    ),
+}
+
+# rate-9 and rate-11 configs for the per-layout grid reference
+LAYOUT_CODEBOOKS = {
+    "psk8": dict(scheme="mux_psk", mod_order=8, ring_count=1),
+    "apsk8": dict(),
+    "diversity-64": dict(
+        scheme="diversity", mod_order=64, ring_count=8, diversity_constellation="apsk"
+    ),
+    "psk16": dict(scheme="mux_psk", mod_order=16, ring_count=1),
+    "apsk16": dict(mod_order=16),
+    "n3-apsk": dict(mod_order=4, n_rx=6, n_active=3, n_elements=48),
+}
 
 
 class TestUnionBound:
@@ -352,18 +393,54 @@ class TestUnionBound:
         assert cb.size == 2
         n0 = 2.0
         result = union_bound_ber(cb, n0)
-        pb = pairwise_bound(cb.codeword(0), cb.codeword(1), n0, cb)
-        assert result.value == pytest.approx(pb.value * pb.bit_errors / cfg.rate)
+        errors = np.count_nonzero(cb.unmap(cb.codeword(0)) != cb.unmap(cb.codeword(1)))
+        expected = pair_bound(codeword_stats(cb, 0, 1), n0) * errors / cfg.rate
+        assert result.value == pytest.approx(expected, rel=1e-12)
 
-    def test_kernel_matches_pairwise_bound(self, codebook):
-        """Vectorized row-pair kernel equals the scalar path."""
+    @pytest.mark.parametrize("name", list(SMALL_CODEBOOKS))
+    def test_matches_pair_by_pair_oracle(self, name):
+        """Summed over distinct keys, the bound equals the per-pair scalar sum."""
+        cb = Codebook(make_config(**SMALL_CODEBOOKS[name]))
+        n0 = noise_variance(-12.0)
+        got = union_bound_ber(cb, n0).value
+        assert got == pytest.approx(brute_force_union_bound(cb, n0), rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(LAYOUT_CODEBOOKS))
+    def test_matches_layout_reference(self, name):
+        cb = Codebook(make_config(**LAYOUT_CODEBOOKS[name]))
+        for snr in (-16.0, -9.0):
+            n0 = noise_variance(snr)
+            got = union_bound_ber(cb, n0).value
+            assert got == pytest.approx(layout_union_bound(cb, n0), rel=1e-12)
+
+    def test_matches_layout_reference_at_rate_13(self):
+        cb = Codebook(make_config(mod_order=32))
+        assert cb.config.rate == 13
         n0 = noise_variance(-9.0)
-        matrix = _bound_matrix(codebook, 2, 6, n0)
-        for q, q_hat in [(0, 0), (7, 50), (63, 1)]:
-            pb = pairwise_bound(
-                codebook.codeword(2 * 64 + q), codebook.codeword(6 * 64 + q_hat), n0, codebook
-            )
-            assert matrix[q, q_hat] == pytest.approx(pb.value, rel=1e-12)
+        got = union_bound_ber(cb, n0)
+        assert got.value == pytest.approx(layout_union_bound(cb, n0), rel=1e-12)
+        assert got.evaluated_pairs + got.skipped_pairs == cb.size * (cb.size - 1)
+
+    def test_high_noise_limit(self):
+        """Every pair bound tends to 1/2.  Without skipped pairs, each
+        codeword's label distances to the others sum to rate * size / 2, so
+        the bound tends to 1/2 * size / 2."""
+        cfg = make_config(
+            scheme="rgssk", mod_order=1, ring_count=1, n_rx=4,
+            combination_table=((1, 3), (1, 4), (2, 3), (2, 4)),
+        )
+        cb = Codebook(cfg)
+        assert union_bound_ber(cb, 1e12).value == pytest.approx(0.5 * cb.size / 2, rel=1e-4)
+
+    def test_domain_checked_before_any_log(self, codebook):
+        """A negative noise variance raises instead of logging negatives."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MgfDomainError):
+                union_bound_ber(codebook, -1.0)
+            for correct in [(0, 1), (0,), (1,), ()]:
+                with pytest.raises(MgfDomainError):
+                    _layout_sums(codebook, correct, -1.0)
 
     def test_unsupported_rows_skipped_and_reported(self, codebook):
         """Lexicographic 5x2 tables contain cross-position row pairs."""
@@ -386,29 +463,14 @@ class TestUnionBound:
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_sampled_policy_agrees_with_exhaustive(self):
-        cfg = make_config(
-            scheme="rgssk", mod_order=1, ring_count=1, n_rx=4,
-            combination_table=((1, 3), (1, 4), (2, 3), (2, 4)),
-        )
-        cb = Codebook(cfg)
-        n0 = noise_variance(-10.0)
-        exact = union_bound_ber(cb, n0).value
-        sampled = union_bound_ber(
-            cb, n0, policy="sampled", sample_pairs=10_000,
-            rng=np.random.default_rng(6),
-        )
-        assert abs(sampled.value - exact) <= 2 * sampled.std_error + 1e-15
-
     def test_exhaustive_refusal_above_ceiling(self, codebook):
-        with pytest.raises(EnumerationRefusedError):
+        with pytest.raises(EnumerationRefusedError, match="--pair-ceiling"):
             union_bound_ber(codebook, 1.0, pair_ceiling=1000)
 
-    @pytest.mark.parametrize("samples", [-1, 0, 1])
-    def test_sampled_policy_needs_two_pairs(self, codebook, samples):
-        with pytest.raises(ValueError, match="at least 2"):
-            union_bound_ber(codebook, 1.0, policy="sampled", sample_pairs=samples)
-
-    def test_unknown_policy(self, codebook):
-        with pytest.raises(ValueError, match="policy"):
-            union_bound_ber(codebook, 1.0, policy="guess")
+    def test_default_ceiling_admits_rate_13_only(self):
+        """Rate 13 runs by default; rate 15 is refused before any work."""
+        assert 8192 * 8191 <= DEFAULT_PAIR_CEILING < 32768 * 32767
+        cb = Codebook(make_config(scheme="mux_psk", mod_order=64, ring_count=1))
+        assert cb.config.rate == 15
+        with pytest.raises(EnumerationRefusedError):
+            union_bound_ber(cb, 1.0)
