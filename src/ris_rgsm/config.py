@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Any
@@ -38,6 +39,12 @@ class ConfigError(ValueError):
 
 def _is_pow2(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
+
+
+_INTEGER_FIELDS = (
+    "n_elements", "n_rx", "n_active", "mod_order", "ring_count",
+    "seed", "trials", "max_bit_errors",
+)
 
 
 @dataclass(frozen=True)
@@ -176,6 +183,15 @@ class SystemConfig:
         ConfigError
             Naming the violated invariant.
         """
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        energy = self.symbol_energy
+        if isinstance(energy, bool) or not isinstance(energy, numbers.Real):
+            raise ConfigError(f"symbol_energy must be a real number, got {energy!r}")
+        if self.stagger is not None and not isinstance(self.stagger, bool):
+            raise ConfigError(f"stagger must be true, false or null, got {self.stagger!r}")
         if self.n_rx < 2:
             raise ConfigError(f"n_rx must be at least 2, got {self.n_rx}")
         if self.n_active < 1:

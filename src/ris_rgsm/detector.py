@@ -142,8 +142,7 @@ def _group_factors(equiv: EquivalentChannel, codebook: Codebook) -> list[np.ndar
     order, n_active = cfg.mod_order, cfg.n_active
     # group i's wave for label q is that of the symbol with label q on group i
     # and 0 elsewhere; a label's low bits are its ring, so (phase, ring) splits it
-    symbol = np.arange(order)[:, None] * order ** np.arange(n_active - 1, -1, -1)
-    waves = codebook.group_waves[symbol, np.arange(n_active)]
+    waves = codebook.group_waves[codebook.label_symbols, np.arange(n_active)]
     waves = waves.reshape(-1, cfg.ris_rings, n_active, 1)
     per_target = np.moveaxis(equiv.ring_tensor, -4, -1)  # (..., groups, antennas, rings, n_rx)
     factors = []

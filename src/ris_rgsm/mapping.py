@@ -212,7 +212,7 @@ class Codebook:
         else:
             m = cfg.mod_order
             count = m**n_a
-            labels = self._group_labels(count, m, n_a)
+            labels = np.arange(count)[:, None] // self.label_symbols[1] % m
             phases = np.empty((count, n_a))
             rho = np.ones((count, n_a))
             active = np.full((count, n_a), n_g, dtype=np.int64)
@@ -243,21 +243,21 @@ class Codebook:
         self.group_waves = amp * np.exp(1j * phases) * carriers[:, None]
         self.group_rings = active // (n_g // cfg.ris_rings) - 1
 
-    @staticmethod
-    def _group_labels(count, order, n_groups) -> np.ndarray:
-        # symbol index -> per-group labels, first group most significant
-        idx = np.arange(count)
-        labels = np.empty((count, n_groups), dtype=np.int64)
-        for l in range(n_groups - 1, -1, -1):
-            labels[:, l] = idx % order
-            idx //= order
-        return labels
-
     # public surface
 
     @property
     def size(self) -> int:
         return self.combinations.shape[0] * self.symbols_per_row
+
+    @property
+    def label_symbols(self) -> np.ndarray:
+        """``(mod_order, n_active)`` symbol indices of a MUX codebook: entry
+        ``(q, l)`` carries label ``q`` on group ``l`` and label 0 on the
+        others.  A MUX symbol index joins the group labels, first group most
+        significant, so a symbol's labels are its index's base-``mod_order``
+        digits and ``label_symbols[1]`` holds their place values."""
+        m, n_a = self.config.mod_order, self.config.n_active
+        return np.arange(m)[:, None] * m ** np.arange(n_a - 1, -1, -1)
 
     def codeword(self, index) -> Codeword:
         """Codeword of an index, or a batch of codewords for an index array."""

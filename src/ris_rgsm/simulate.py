@@ -277,8 +277,7 @@ def merge_theory(sim_curve: BerCurve, theory_curve: BerCurve) -> BerCurve:
         )
     meta = dict(sim_curve.meta)
     meta["kind"] = "simulation+theory"
-    for key in ("skipped_pair_fraction", "evaluated_pairs", "skipped_pairs", "signatures"):
-        meta[key] = theory_curve.meta.get(key)
+    meta.update((k, v) for k, v in theory_curve.meta.items() if k != "kind")
     return BerCurve(
         label=sim_curve.label,
         config=sim_curve.config,

@@ -24,13 +24,18 @@ The pairwise error bound is the three-term exponential upper bound of the
 Gaussian tail function evaluated through the quadratic-form MGF, and the
 average BER is the bit-error-weighted union over ordered codeword pairs.
 
-The MGF factors over the blocks.  Idle antennas and matched 2x2 blocks have
-closed forms.  A coupled 4x4 block goes through one kernel,
+Each block kind has one entries function, :func:`_matched_entries` for a
+matched 2x2 block and :func:`_swap_entries` for a coupled 4x4 block, giving
+its covariance upper triangle and mean; :func:`assemble_statistics` builds
+one pair's blocks from them.  The MGF factors over the blocks.  Idle
+antennas have a closed form; every other block goes through one kernel,
 :func:`_block_log_mgf`: a Cholesky factorization of ``I - 2xC`` unrolled
 over the block's entries plus a forward substitution, written as numpy
-elementwise operations, so the same code evaluates one pair
-(:meth:`DifferenceStatistics.mgf`, 0-d entries) and a batch of blocks.
-Every domain check (``I - 2xC`` positive definite) comes before any log.
+elementwise operations over a batch of blocks of any size.  Every domain
+check (``I - 2xC`` positive definite) comes before any log.  One pair's MGF
+is the dense :func:`mgf_quadratic_form` of
+:meth:`DifferenceStatistics.mean_vector` and
+:meth:`DifferenceStatistics.covariance`.
 
 :func:`union_bound_ber` sums the bound over every supported ordered pair
 exactly, without visiting the pairs one by one:
@@ -182,40 +187,6 @@ class DifferenceStatistics:
             cov[j : j + 2, i : i + 2] = blk.cov[2:, :2]
         return cov
 
-    def mgf(self, x: float) -> float:
-        """Blockwise quadratic-form MGF (products of per-block factors)."""
-        log_m = 0.0
-        if self.unselected:
-            edge = 1.0 - 2.0 * x * self.unselected_var
-            if edge <= 0:
-                raise MgfDomainError(f"argument x={x} leaves the isotropic blocks indefinite")
-            log_m -= len(self.unselected) * math.log(edge)
-        for blk in self.correct_blocks:
-            log_m += _correct_block_log_mgf(blk, x)
-        for blk in self.swap_blocks:
-            log_m += float(_block_log_mgf(blk.cov[np.triu_indices(4)], blk.mean, x))
-        return math.exp(log_m)
-
-
-def _correct_block_log_mgf(blk: CorrectBlock, x: float) -> float:
-    # rank-1 structure: cov = iso*I + k vv^T with the mean parallel to v
-    vv = float(blk.mean @ blk.mean)
-    iso = _iso_part(blk.cov)
-    along = blk.cov[0, 0] + blk.cov[1, 1] - 2.0 * iso  # k * |v|^2
-    e_iso = 1.0 - 2.0 * x * iso
-    e_along = 1.0 - 2.0 * x * (iso + along)
-    if e_iso <= 0 or e_along <= 0:
-        raise MgfDomainError(f"argument x={x} leaves a matched block indefinite")
-    return -0.5 * (math.log(e_iso) + math.log(e_along)) + x * vv / e_along
-
-
-def _iso_part(cov: np.ndarray) -> float:
-    # cov = iso*I + k*outer(v, v): the smaller eigenvalue is the isotropic part
-    half_tr = 0.5 * (cov[0, 0] + cov[1, 1])
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    disc = max(half_tr * half_tr - det, 0.0)
-    return half_tr - math.sqrt(disc)
-
 
 def _block_log_mgf(cov, mean, x: float):
     """Log MGF of ``||Z||^2`` for Gaussian blocks, elementwise over a batch.
@@ -250,7 +221,7 @@ def _block_log_mgf(cov, mean, x: float):
         for k in range(j):
             pivot = pivot - low[j][k] * low[j][k]
         if not np.all(pivot > 0):
-            raise MgfDomainError(f"argument x={x} leaves a coupled block indefinite")
+            raise MgfDomainError(f"argument x={x} leaves a Gaussian block indefinite")
         log_det = log_det + np.log(pivot)
         inv = 1.0 / np.sqrt(pivot)
         for i in range(j + 1, n):
@@ -264,6 +235,24 @@ def _block_log_mgf(cov, mean, x: float):
         z[j] = acc * inv
         quad = quad + z[j] * z[j]
     return -0.5 * log_det + x * quad
+
+
+def _matched_entries(delta, total, n_g: int):
+    """Covariance upper triangle and mean of the 2x2 block of one matched
+    position.
+
+    ``delta`` is the position's symbol difference ``s - s_hat`` and ``total``
+    the sum of all position weights, as broadcastable arrays.  The block
+    stacks ``[antenna_re, antenna_im]``; the three covariance entries come
+    row by row as :func:`_block_log_mgf` takes them, followed by the two
+    mean entries.
+    """
+    c_mean = n_g * math.sqrt(math.pi) / 2.0
+    c_aniso = n_g * (4.0 - math.pi) / 4.0
+    dr, di = delta.real, delta.imag
+    base = n_g / 2.0 * (total - np.abs(delta) ** 2)
+    cov = (c_aniso * dr * dr + base, c_aniso * dr * di, c_aniso * di * di + base)
+    return cov, (c_mean * dr, c_mean * di)
 
 
 def _swap_entries(s, s_hat, total, n_g: int):
@@ -296,6 +285,16 @@ def _swap_entries(s, s_hat, total, n_g: int):
     return cov, mean
 
 
+def _dense_block(entries):
+    """``(mean, cov)`` arrays of one block from the ``(upper, mean)``
+    entries that :func:`_matched_entries` or :func:`_swap_entries` return."""
+    upper, mean = entries
+    rows, cols = np.triu_indices(len(mean))
+    cov = np.empty((len(mean), len(mean)))
+    cov[rows, cols] = cov[cols, rows] = upper
+    return np.array(mean), cov
+
+
 def assemble_statistics(
     combination,
     symbols,
@@ -311,50 +310,25 @@ def assemble_statistics(
     layout = pair_layout(combination, combination_hat, config.n_rx)
     s = np.asarray(symbols, dtype=complex)
     s_hat = np.asarray(symbols_hat, dtype=complex)
+    c = tuple(int(a) for a in combination)
+    c_hat = tuple(int(a) for a in combination_hat)
     n_g = config.n_group
-    half = n_g / 2.0
-    c_mean = n_g * math.sqrt(math.pi) / 2.0
-    c_aniso = n_g * (4.0 - math.pi) / 4.0
+    total = float(np.sum(_position_weights(layout, s, s_hat)))
 
-    w = _position_weights(layout, s, s_hat)
-    total = float(np.sum(w))
-
-    correct_blocks = []
-    for l in layout.correct:
-        delta = s[l] - s_hat[l]
-        dr, di = delta.real, delta.imag
-        base = half * (total - w[l])
-        cov = np.array(
-            [
-                [base + c_aniso * dr * dr, c_aniso * dr * di],
-                [c_aniso * dr * di, base + c_aniso * di * di],
-            ]
-        )
-        mean = np.array([c_mean * dr, c_mean * di])
-        correct_blocks.append(
-            CorrectBlock(antenna=int(combination[l]), mean=mean, cov=cov)
-        )
-
-    swap_blocks = []
-    c = tuple(combination)
-    c_hat = tuple(combination_hat)
-    for l in layout.swapped:
-        upper, mean = _swap_entries(s[l], s_hat[l], total, n_g)
-        rows, cols = np.triu_indices(4)
-        cov = np.empty((4, 4))
-        cov[rows, cols] = cov[cols, rows] = upper
-        swap_blocks.append(
-            SwapBlock(
-                antenna=int(c[l]), partner=int(c_hat[l]), mean=np.array(mean), cov=cov
-            )
-        )
-
+    correct_blocks = tuple(
+        CorrectBlock(c[l], *_dense_block(_matched_entries(s[l] - s_hat[l], total, n_g)))
+        for l in layout.correct
+    )
+    swap_blocks = tuple(
+        SwapBlock(c[l], c_hat[l], *_dense_block(_swap_entries(s[l], s_hat[l], total, n_g)))
+        for l in layout.swapped
+    )
     return DifferenceStatistics(
         n_rx=config.n_rx,
         unselected=layout.unselected,
-        unselected_var=half * total,
-        correct_blocks=tuple(correct_blocks),
-        swap_blocks=tuple(swap_blocks),
+        unselected_var=n_g / 2.0 * total,
+        correct_blocks=correct_blocks,
+        swap_blocks=swap_blocks,
     )
 
 
@@ -429,20 +403,16 @@ def _label_factors(codebook: Codebook) -> list[tuple[tuple[int, ...], np.ndarray
 
     Each factor is ``(positions, symbols)``: the positions it drives and
     their ``(M, len(positions))`` symbols by factor label.  A MUX label
-    concatenates one label per group, first group most significant, so each
-    group is a factor; diversity and RGSSK rows send one shared symbol, a
-    single factor over all positions.
+    concatenates one label per group (:attr:`Codebook.label_symbols`), so
+    each group is a factor; diversity and RGSSK rows send one shared symbol,
+    a single factor over all positions.
     """
     cfg = codebook.config
     symbols = codebook.group_symbols
     if not cfg.scheme.is_mux:
         return [(tuple(range(cfg.n_active)), symbols)]
-    m = cfg.mod_order
-    labels = np.arange(m)
-    return [
-        ((l,), symbols[labels * m ** (cfg.n_active - 1 - l), l : l + 1])
-        for l in range(cfg.n_active)
-    ]
+    per_group = symbols[codebook.label_symbols, np.arange(cfg.n_active)]
+    return [((l,), per_group[:, l : l + 1]) for l in range(cfg.n_active)]
 
 
 class _FactorKeys(NamedTuple):
@@ -510,15 +480,11 @@ def _layout_sums(codebook: Codebook, correct, noise_var: float):
     keys = [_factor_keys(*factor, correct) for factor in _label_factors(codebook)]
     n_unselected = cfg.n_rx - 2 * cfg.n_active + len(correct)
     n_g = cfg.n_group
-    half = n_g / 2.0
-    c_mean = n_g * math.sqrt(math.pi) / 2.0
-    c_aniso = n_g * (4.0 - math.pi) / 4.0
     n_f = len(keys)
     x = np.reshape(_mgf_arguments(noise_var), (-1,) + (1,) * n_f)
 
     total = 0.0
-    matched = []  # |s - s_hat|^2 per matched position
-    swapped = []  # (|s|, |s_hat|) per swapped position
+    blocks = []  # (entries function, its symbol arguments) per position
     count = 1.0
     hamming = 0.0
     for f, key in enumerate(keys):
@@ -528,32 +494,24 @@ def _layout_sums(codebook: Codebook, correct, noise_var: float):
         count = count * n
         for p, is_matched in enumerate(key.matched):
             if is_matched:
-                d2 = (np.abs(key.s[:, p] - key.s_hat[:, p]) ** 2).reshape(axis)
-                total = total + d2
-                matched.append(d2)
+                # rotated by its own phase, the difference s - s_hat is real
+                delta = np.abs(key.s[:, p] - key.s_hat[:, p]).reshape(axis)
+                total = total + delta**2
+                blocks.append((_matched_entries, (delta,)))
             else:
                 mod = np.abs(key.s[:, p]).reshape(axis)
                 mod_hat = np.abs(key.s_hat[:, p]).reshape(axis)
                 total = total + mod**2 + mod_hat**2
-                swapped.append((mod, mod_hat))
+                blocks.append((_swap_entries, (mod, mod_hat)))
 
     log_m = 0.0
     if n_unselected:
-        edge = 1.0 - 2.0 * x * half * total
+        edge = 1.0 - 2.0 * x * (n_g / 2.0) * total
         if not np.all(edge > 0):
             raise MgfDomainError(f"argument x={x.ravel()} leaves the idle antennas indefinite")
         log_m = log_m - n_unselected * np.log(edge)
-    for d2 in matched:
-        q = half * (total - d2)
-        e_iso = 1.0 - 2.0 * x * q
-        e_along = 1.0 - 2.0 * x * (q + c_aniso * d2)
-        if not (np.all(e_iso > 0) and np.all(e_along > 0)):
-            raise MgfDomainError(f"argument x={x.ravel()} leaves a matched block indefinite")
-        log_m = log_m - 0.5 * (np.log(e_iso) + np.log(e_along))
-        log_m = log_m + x * (c_mean * c_mean * d2) / e_along
-    for mod, mod_hat in swapped:
-        cov, mean = _swap_entries(mod, mod_hat, total, n_g)
-        log_m = log_m + _block_log_mgf(cov, mean, x)
+    for entries, symbols in blocks:
+        log_m = log_m + _block_log_mgf(*entries(*symbols, total, n_g), x)
     bound = 0.0
     for weight, values in zip(BOUND_WEIGHTS, np.exp(log_m)):
         bound = bound + weight * values

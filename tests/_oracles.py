@@ -17,6 +17,7 @@ from ris_rgsm.theory import (
     _block_log_mgf,
     _swap_entries,
     assemble_statistics,
+    mgf_quadratic_form,
     pair_layout,
 )
 
@@ -89,9 +90,10 @@ def mc_mgf(mean, cov, x, samples=1_000_000, seed=0):
 # -- union-bound references ------------------------------------------------------
 #
 # Both sum the same per-pair bound as ``theory.union_bound_ber`` along other
-# routes: one pair at a time through the scalar statistics, or over the full
-# ``(Q, Q)`` symbol-pair grid of each row-pair layout.  The grid route shares
-# the swap-block entries and the coupled-block MGF kernel with the engine.
+# routes: one pair at a time through the dense MGF of its assembled
+# statistics, or over the full ``(Q, Q)`` symbol-pair grid of each row-pair
+# layout.  The grid route shares the swap-block entries and the block MGF
+# kernel with the engine; the per-pair route shares neither.
 
 
 def _label_hamming(codebook, index, index_hat):
@@ -100,15 +102,16 @@ def _label_hamming(codebook, index, index_hat):
 
 
 def pair_bound(stats, noise_var):
-    """Three-term bound of one pair from its blockwise MGF."""
+    """Three-term bound of one pair from the dense MGF of its statistics."""
+    mean, cov = stats.mean_vector(), stats.covariance()
     return sum(
-        w * stats.mgf(-1.0 / (scale * noise_var))
+        w * mgf_quadratic_form(mean, cov, -1.0 / (scale * noise_var))
         for w, scale in zip(BOUND_WEIGHTS, BOUND_SCALES)
     )
 
 
 def brute_force_union_bound(codebook, noise_var):
-    """Union bound summed pair by pair with ``assemble_statistics(...).mgf``."""
+    """Union bound summed pair by pair with :func:`pair_bound`."""
     cfg = codebook.config
     total = 0.0
     for i in range(codebook.size):

@@ -123,6 +123,22 @@ class TestValidateConfig:
         assert [line.split()[1] for line in lines] == ["label=n16", "label=n32"]
         assert all(line.startswith("ok: ") and "rate=2" in line for line in lines)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            'n_rx: "5"', "n_rx: 5.5", "n_rx: null", "symbol_energy: abc",
+            'max_bit_errors: "9"', "seed: abc", "trials: 1.5", "stagger: maybe",
+            "n_active: true", "symbol_energy: true", "stagger: 1",
+        ],
+    )
+    def test_mistyped_value_exits_two(self, tmp_path, capsys, line):
+        key = line.split(":")[0]
+        text = (CONFIG_DIR / "apsk8_n64.yaml").read_text().splitlines()
+        path = tmp_path / "typed.yaml"
+        path.write_text("\n".join([t for t in text if not t.startswith(key)] + [line]) + "\n")
+        assert main(["validate-config", "-c", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
     def test_reference_configs_validate(self, path):
         assert main(["validate-config", "-c", str(path)]) == 0

@@ -1,5 +1,6 @@
 """Tests for system parameterization, validation, and config loading."""
 
+import numpy as np
 import pytest
 
 from ris_rgsm import ConfigError, Scheme, SystemConfig, load_config, load_manifest
@@ -120,6 +121,10 @@ class TestValidation:
         table = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (4, 3))
         with pytest.raises(ConfigError, match="ascending"):
             make_config(combination_table=table).validate()
+
+    def test_numpy_integers_accepted(self):
+        cfg = make_config(n_rx=np.int64(5), seed=np.uint32(7)).validate()
+        assert cfg.rate == 9
 
     def test_stagger_defaults(self):
         assert make_config().validate().stagger_enabled

@@ -236,6 +236,21 @@ class TestCodebook:
         assert np.allclose(cb.group_symbols[:, 0], cb.carriers)
         assert np.allclose(cb.group_symbols[:, 0], cb.group_symbols[:, 1])
 
+    def test_label_symbols_split_every_symbol(self):
+        """Group l of symbol i sends what ``label_symbols[q, l]`` sends there,
+        q being group l's bits of i's label (first group most significant)."""
+        cfg = make_config(
+            scheme="mux_apsk", n_rx=6, n_active=3, n_elements=48, mod_order=4, ring_count=2
+        )
+        cb = Codebook(cfg)
+        bits = cfg.symbol_bits
+        labels = int_to_bits(np.arange(cb.symbols_per_row), cfg.n_active * bits)
+        q = labels.reshape(-1, cfg.n_active, bits) @ (1 << np.arange(bits - 1, -1, -1))
+        groups = np.arange(cfg.n_active)
+        split = cb.group_symbols[cb.label_symbols[q, groups], groups]
+        assert np.array_equal(split, cb.group_symbols)
+        assert not np.any(cb.label_symbols[0])
+
     @given(st.integers(min_value=0, max_value=511))
     @settings(max_examples=40, deadline=None)
     def test_wave_and_ring_reconstruct_symbol(self, index):

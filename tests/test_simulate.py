@@ -262,9 +262,12 @@ class TestTheorySweep:
 
     def test_merge_attaches_bounds(self):
         cfg = small_config(n_elements=64, snr_grid_db=(-20.0, -16.0), trials=2000)
-        merged = merge_theory(run_simulation(cfg), run_theory(cfg))
+        sim, theory = run_simulation(cfg), run_theory(cfg)
+        merged = merge_theory(sim, theory)
         for p in merged.points:
             assert p.ber is not None and p.theory_bound is not None
+        # every theory meta key rides along; the kind names the merge
+        assert merged.meta == {**sim.meta, **theory.meta, "kind": "simulation+theory"}
 
     def test_larger_arrays_bound_lower(self):
         """Doubling the element count lowers the bound at every SNR."""

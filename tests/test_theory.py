@@ -213,17 +213,6 @@ class TestMgf:
         sampled = mc_mgf(np.zeros(1), np.eye(1), -0.5, samples=1_000_000, seed=7)
         assert abs(value - sampled) < 0.002
 
-    def test_blockwise_equals_dense(self, codebook):
-        cfg = codebook.config
-        src = codebook.codeword(2 * 64 + 21)
-        dst = codebook.codeword(4 * 64 + 55)
-        stats = assemble_statistics(
-            src.combination, src.symbols, dst.combination, dst.symbols, cfg
-        )
-        for x in (-2.0, -0.31, -0.007):
-            dense = mgf_quadratic_form(stats.mean_vector(), stats.covariance(), x)
-            assert stats.mgf(x) == pytest.approx(dense, rel=1e-10)
-
     def test_monotone_decreasing_for_negative_x(self, codebook):
         cfg = codebook.config
         src = codebook.codeword(64 + 3)
@@ -231,8 +220,9 @@ class TestMgf:
         stats = assemble_statistics(
             src.combination, src.symbols, dst.combination, dst.symbols, cfg
         )
+        mean, cov = stats.mean_vector(), stats.covariance()
         xs = -np.logspace(-3, 0.5, 12)[::-1]  # increasingly negative
-        values = [stats.mgf(float(x)) for x in xs[::-1]]
+        values = [mgf_quadratic_form(mean, cov, float(x)) for x in xs[::-1]]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_singular_covariance_handled(self):
@@ -315,7 +305,7 @@ class TestBlockKernel:
         with pytest.raises(MgfDomainError):
             _layout_sums(cb, (), noise_var)
         with pytest.raises(MgfDomainError):
-            stats.mgf(0.75 / lam)
+            mgf_quadratic_form(stats.mean_vector(), stats.covariance(), 0.75 / lam)
         # a definite first block does not hide an indefinite second one
         blk = stats.swap_blocks[0]
         upper = [np.array([1e-3 * v, v]) for v in blk.cov[np.triu_indices(4)]]
@@ -399,7 +389,8 @@ class TestUnionBound:
 
     @pytest.mark.parametrize("name", list(SMALL_CODEBOOKS))
     def test_matches_pair_by_pair_oracle(self, name):
-        """Summed over distinct keys, the bound equals the per-pair scalar sum."""
+        """Summed over distinct keys, the bound equals the per-pair sum of
+        dense MGFs."""
         cb = Codebook(make_config(**SMALL_CODEBOOKS[name]))
         n0 = noise_variance(-12.0)
         got = union_bound_ber(cb, n0).value
