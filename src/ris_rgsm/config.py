@@ -41,6 +41,15 @@ def _is_pow2(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _plain_int(value):
+    # numpy integers become ints; anything else stays for validate to refuse
+    return int(value) if _is_integer(value) else value
+
+
 _INTEGER_FIELDS = (
     "n_elements", "n_rx", "n_active", "mod_order", "ring_count",
     "seed", "trials", "max_bit_errors",
@@ -113,7 +122,7 @@ class SystemConfig:
             object.__setattr__(
                 self,
                 "combination_table",
-                tuple(tuple(int(a) for a in row) for row in self.combination_table),
+                tuple(tuple(map(_plain_int, row)) for row in self.combination_table),
             )
 
     # -- derived quantities -------------------------------------------------
@@ -185,11 +194,13 @@ class SystemConfig:
         """
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         energy = self.symbol_energy
         if isinstance(energy, bool) or not isinstance(energy, numbers.Real):
             raise ConfigError(f"symbol_energy must be a real number, got {energy!r}")
+        if not math.isfinite(energy):
+            raise ConfigError(f"symbol_energy must be finite, got {energy!r}")
         if self.stagger is not None and not isinstance(self.stagger, bool):
             raise ConfigError(f"stagger must be true, false or null, got {self.stagger!r}")
         if self.n_rx < 2:
@@ -275,6 +286,8 @@ class SystemConfig:
             )
         seen = set()
         for row in table:
+            if not all(map(_is_integer, row)):
+                raise ConfigError(f"combination_table row {row} has a non-integer antenna index")
             if len(row) != self.n_active:
                 raise ConfigError(f"combination row {row} must list {self.n_active} antennas")
             if any(a < 1 or a > self.n_rx for a in row):

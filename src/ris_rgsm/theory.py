@@ -41,7 +41,9 @@ is the dense :func:`mgf_quadratic_form` of
 exactly, without visiting the pairs one by one:
 
 * a pair's statistics depend on its rows only through which positions match
-  (the layout signature), so row pairs are grouped by signature;
+  (the layout signature), so row pairs are grouped by signature, all at once
+  from one comparison of the combination table with itself
+  (:func:`_row_pair_signatures`);
 * within a layout, a pair's MGF depends on its symbols only through
   rotation-invariant keys, ``|s - s_hat|**2`` at a matched position and
   ``(|s|, |s_hat|)`` at a swapped one (rotating each antenna's plane by the
@@ -51,7 +53,16 @@ exactly, without visiting the pairs one by one:
 * a symbol label is a concatenation of independent factor labels (one per
   group for MUX, one shared label for diversity and RGSSK), so each factor's
   label pairs are grouped by key, and the MGF is evaluated once per tuple
-  of factor keys, weighted by its pair count and label Hamming sum.
+  of factor keys, weighted by its pair count and label Hamming sum;
+* one sort per factor groups its label pairs by all of their keys
+  (:func:`_fine_keys`), and each layout's keys regroup that table
+  (:func:`_coarse_keys`).
+
+The key tuples of every layout form one flat batch of slots
+(:func:`_slot_batch`), built once per call.  An SNR point then evaluates
+the idle antennas' closed form once, :func:`_block_log_mgf` once for all
+matched and once for all swap blocks, and ``exp`` once
+(:func:`_bound_sums`).
 """
 
 from __future__ import annotations
@@ -368,6 +379,9 @@ def mgf_quadratic_form(mean, cov, x: float) -> float:
 # same key: equal moduli and distances computed along different rounding paths
 _KEY_RESOLUTION = 2.0**-40
 
+# bytes of temporaries per chunk of rows in the row-pair classification
+_CLASSIFY_BYTES = 32 * 2**20
+
 _BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 
 
@@ -398,6 +412,48 @@ class UnionBoundResult:
         return self.skipped_pairs / total if total else 0.0
 
 
+def _row_pair_signatures(combinations, max_bytes: int = _CLASSIFY_BYTES):
+    """Group the ordered row pairs of a combination table by layout signature.
+
+    Returns ``(signatures, skipped)``.  ``signatures`` maps the matched
+    positions of :func:`pair_layout` to ``(row pairs, summed spatial Hamming
+    distance)``, in the order of first occurrence over ``(row, row_hat)``;
+    ``skipped`` counts the row pairs with an antenna at different positions.
+    ``eq[r, r', l, l']`` compares every row's antennas with every row's at
+    once: its diagonal is the matched mask, a hit off the diagonal makes the
+    pair unsupported.  Rows go in chunks whose temporaries stay under about
+    ``max_bytes``.
+    """
+    combos = np.asarray(combinations, dtype=np.int64)
+    n_rows, n_pos = combos.shape
+    rows = np.arange(n_rows)
+    place = 1 << np.arange(n_pos, dtype=np.int64)
+    # per row pair: the L x L comparison, L int64 products for the code and
+    # about ten int64 temporaries
+    chunk = max(1, max_bytes // (n_rows * (n_pos * (n_pos + 8) + 80)))
+    found: dict[int, list[int]] = {}
+    skipped = 0
+    for start in range(0, n_rows, chunk):
+        eq = combos[start : start + chunk, None, :, None] == combos[None, :, None, :]
+        matched = np.diagonal(eq, axis1=2, axis2=3)
+        supported = np.count_nonzero(eq, axis=(2, 3)) == np.count_nonzero(matched, axis=-1)
+        code = (matched @ place)[supported]
+        hamming = _popcount(rows[start : start + chunk, None] ^ rows[None, :])[supported]
+        skipped += supported.size - code.size
+        group, first = _groups(code[None, :])
+        pairs = np.bincount(group)
+        spatial = np.bincount(group, weights=hamming)
+        for i in np.argsort(first):
+            entry = found.setdefault(int(code[first[i]]), [0, 0])
+            entry[0] += int(pairs[i])
+            entry[1] += int(spatial[i])
+    signatures = {
+        tuple(l for l in range(n_pos) if code >> l & 1): tuple(entry)
+        for code, entry in found.items()
+    }
+    return signatures, skipped
+
+
 def _label_factors(codebook: Codebook) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Independent factors of a row's symbol label.
 
@@ -418,104 +474,215 @@ def _label_factors(codebook: Codebook) -> list[tuple[tuple[int, ...], np.ndarray
 class _FactorKeys(NamedTuple):
     """Distinct rotation-invariant keys of one factor's label pairs."""
 
-    matched: tuple[bool, ...]  # per position of the factor
-    s: np.ndarray  # (K, len(positions)) true symbols of each key's first pair
-    s_hat: np.ndarray  # (K, len(positions)) wrong symbols of that pair
+    keys: np.ndarray  # (columns, K) quantized keys of each group
+    first: np.ndarray  # (K,) first label pair of each group
+    s: np.ndarray  # (K, len(positions)) true symbols of that pair
+    s_hat: np.ndarray  # (K, len(positions)) its wrong symbols
     count: np.ndarray  # (K,) label pairs with the key
     hamming: np.ndarray  # (K,) summed label Hamming distance of those pairs
 
 
-def _factor_keys(positions, symbols: np.ndarray, correct) -> _FactorKeys:
-    """Group a factor's ``(M, M)`` label pairs by their blocks' keys in a
-    layout whose matched positions are ``correct``.
+def _groups(keys: np.ndarray, *ties):
+    """``(group of every column, first column of each group)`` of ``keys``.
 
-    A matched position's blocks see its symbols only through ``|s - s_hat|``
-    and a swapped position's only through ``(|s|, |s_hat|)``: rotating each
-    antenna's plane by the phase of its own symbol leaves ``||Z||^2``
-    unchanged.  Pairs with equal keys at every position share one MGF.
+    Groups follow the lexicographic order of their keys (last row most
+    significant); within a group columns keep their order, or that of
+    ``ties`` (least significant first), so the first column is the earliest.
     """
-    matched = tuple(l in correct for l in positions)
+    order = np.lexsort((*ties, *keys))
+    ordered = keys[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    group = np.empty(order.size, dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    return group, order[first]
+
+
+def _fine_keys(symbols: np.ndarray):
+    """Group a factor's ``(M, M)`` label pairs by ``|s - s_hat|**2``,
+    ``|s|**2`` and ``|s_hat|**2`` at every position.
+
+    Returns the keys and, per position, the rows of those three keys in
+    ``keys`` (positions sharing one symbol share rows).  Every layout's
+    coarser keys are functions of these (:func:`_coarse_keys`).
+    """
     m = symbols.shape[0]
     s = np.repeat(symbols, m, axis=0)
     s_hat = np.tile(symbols, (m, 1))
     labels = np.arange(m)
     hamming = _popcount(np.repeat(labels, m) ^ np.tile(labels, m))
-    columns = []
-    for p, is_matched in enumerate(matched):
-        if is_matched:
-            new = [np.abs(s[:, p] - s_hat[:, p]) ** 2]
-        else:
-            new = [np.abs(s[:, p]) ** 2, np.abs(s_hat[:, p]) ** 2]
-        # positions sharing one symbol repeat their columns
-        columns += [c for c in new if not any(np.array_equal(c, k) for k in columns)]
+    columns: list[np.ndarray] = []
+    rows = []
+    for sp, tp in zip(s.T, s_hat.T):
+        at = []
+        for column in (np.abs(sp - tp) ** 2, np.abs(sp) ** 2, np.abs(tp) ** 2):
+            same = (i for i, k in enumerate(columns) if np.array_equal(column, k))
+            at.append(next(same, len(columns)))
+            if at[-1] == len(columns):
+                columns.append(column)
+        rows.append(tuple(at))
     keys = np.stack(columns)
     keys = np.round(keys / (_KEY_RESOLUTION * max(float(keys.max()), 1e-300)))
-    order = np.lexsort(keys)
-    ordered = keys[:, order]
-    first = np.ones(m * m, dtype=bool)
-    first[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
-    group = np.empty(m * m, dtype=np.int64)
-    group[order] = np.cumsum(first) - 1
-    rep = order[first]
-    return _FactorKeys(
-        matched=matched,
-        s=s[rep],
-        s_hat=s_hat[rep],
+    group, first = _groups(keys)
+    fine = _FactorKeys(
+        keys=keys[:, first],
+        first=first,
+        s=s[first],
+        s_hat=s_hat[first],
         count=np.bincount(group),
         hamming=np.bincount(group, weights=hamming),
     )
+    return fine, rows
 
 
-def _layout_sums(codebook: Codebook, correct, noise_var: float):
-    """``(sum B, sum B * symbol Hamming)`` over all symbol pairs of the
-    row-pair layout whose matched positions are ``correct``.
+def _coarse_keys(fine: _FactorKeys, rows, matched) -> _FactorKeys:
+    """Regroup a factor's fine keys to its blocks' keys in a layout that
+    matches the factor's positions where ``matched`` is true.
 
-    ``B`` is the three-term bound of one symbol pair.  It is evaluated once
-    per tuple of factor keys: each factor's keys lie along its own axis, the
-    pair count of a tuple is the product of the factors' counts and its
-    Hamming sum ``sum_f h_f prod_{g != f} n_g``.  The three MGF arguments
-    lie along a leading axis.
+    A matched position's blocks see its symbols only through ``|s - s_hat|``
+    and a swapped position's only through ``(|s|, |s_hat|)``: rotating each
+    antenna's plane by the phase of its own symbol leaves ``||Z||^2``
+    unchanged.  Pairs with equal keys at every position share one MGF; the
+    first label pair of each coarse group represents it.
+    """
+    used: list[int] = []
+    for at, is_matched in zip(rows, matched):
+        used += [r for r in (at[:1] if is_matched else at[1:]) if r not in used]
+    group, first = _groups(fine.keys[used], fine.first)
+    return _FactorKeys(
+        keys=fine.keys[used][:, first],
+        first=fine.first[first],
+        s=fine.s[first],
+        s_hat=fine.s_hat[first],
+        count=np.bincount(group, weights=fine.count),
+        hamming=np.bincount(group, weights=fine.hamming),
+    )
+
+
+class _SlotBatch(NamedTuple):
+    """Noise-independent inputs of the bound, one slot per tuple of factor
+    keys of a layout, the layouts' key grids flattened one after another.
+
+    Every slot has one block per position; a block's index is
+    ``slot * positions + position``.
+    """
+
+    n_group: int
+    n_positions: int
+    ends: tuple[int, ...]  # end of each layout's slots
+    total: np.ndarray  # (G,) summed position weights
+    count: np.ndarray  # (G,) symbol pairs of the slot
+    hamming: np.ndarray  # (G,) their summed label Hamming distance
+    idle: np.ndarray  # (G,) idle antennas
+    matched: tuple  # (block index, |s - s_hat|, total) of matched blocks
+    swapped: tuple  # (block index, |s|, |s_hat|, total) of swap blocks
+
+
+def _slot_batch(codebook: Codebook, layouts) -> _SlotBatch:
+    """Flatten the key grids of the layouts whose matched positions are
+    ``layouts`` into one batch of slots.
+
+    In a layout each label factor's keys lie along its own axis; the pair
+    count of a slot is the product of the factors' counts and its Hamming
+    sum ``sum_f h_f prod_{g != f} n_g``.  Each factor has one fine key table
+    and one coarse table per pattern of matched positions.
     """
     cfg = codebook.config
-    keys = [_factor_keys(*factor, correct) for factor in _label_factors(codebook)]
-    n_unselected = cfg.n_rx - 2 * cfg.n_active + len(correct)
-    n_g = cfg.n_group
-    n_f = len(keys)
-    x = np.reshape(_mgf_arguments(noise_var), (-1,) + (1,) * n_f)
+    factors = [(positions, *_fine_keys(symbols)) for positions, symbols in _label_factors(codebook)]
+    coarse: dict[tuple, _FactorKeys] = {}
+    totals, counts, hammings, idle, ends = [], [], [], [], []  # per layout
+    matched, swapped = [], []  # per layout and position: (block index, arguments, total)
+    for correct in layouts:
+        keys = []
+        for f, (positions, fine, rows) in enumerate(factors):
+            flags = tuple(l in correct for l in positions)
+            if (f, flags) not in coarse:
+                coarse[f, flags] = _coarse_keys(fine, rows, flags)
+            keys.append(coarse[f, flags])
+        shape = [key.count.size for key in keys]
+        slots = np.unravel_index(np.arange(math.prod(shape)), shape)
+        total, count, hamming = 0.0, 1.0, 0.0
+        blocks = [None] * cfg.n_active  # symbol arguments of each position's blocks
+        for (positions, _, _), key, i in zip(factors, keys, slots):
+            n, h = key.count[i], key.hamming[i]
+            hamming = hamming * n + h * count
+            count = count * n
+            for p, l in enumerate(positions):
+                if l in correct:
+                    # rotated by its own phase, the difference s - s_hat is real
+                    delta = np.abs(key.s[i, p] - key.s_hat[i, p])
+                    total = total + delta**2
+                    blocks[l] = (delta,)
+                else:
+                    mod, mod_hat = np.abs(key.s[i, p]), np.abs(key.s_hat[i, p])
+                    total = total + mod**2 + mod_hat**2
+                    blocks[l] = (mod, mod_hat)
+        offset = ends[-1] if ends else 0
+        index = (offset + np.arange(total.size)) * cfg.n_active
+        for l, arguments in enumerate(blocks):
+            (matched if l in correct else swapped).append((index + l, *arguments, total))
+        totals.append(total)
+        counts.append(count)
+        hammings.append(hamming)
+        idle.append(np.full(total.size, cfg.n_rx - 2 * cfg.n_active + len(correct)))
+        ends.append(offset + total.size)
 
-    total = 0.0
-    blocks = []  # (entries function, its symbol arguments) per position
-    count = 1.0
-    hamming = 0.0
-    for f, key in enumerate(keys):
-        axis = (-1,) + (1,) * (n_f - 1 - f)
-        n, h = key.count.reshape(axis), key.hamming.reshape(axis)
-        hamming = hamming * n + h * count
-        count = count * n
-        for p, is_matched in enumerate(key.matched):
-            if is_matched:
-                # rotated by its own phase, the difference s - s_hat is real
-                delta = np.abs(key.s[:, p] - key.s_hat[:, p]).reshape(axis)
-                total = total + delta**2
-                blocks.append((_matched_entries, (delta,)))
-            else:
-                mod = np.abs(key.s[:, p]).reshape(axis)
-                mod_hat = np.abs(key.s_hat[:, p]).reshape(axis)
-                total = total + mod**2 + mod_hat**2
-                blocks.append((_swap_entries, (mod, mod_hat)))
+    def stacked(blocks, arguments):
+        if not blocks:
+            return (np.zeros(0, dtype=np.int64),) + (np.zeros(0),) * (arguments + 1)
+        return tuple(np.concatenate(column) for column in zip(*blocks))
 
-    log_m = 0.0
-    if n_unselected:
-        edge = 1.0 - 2.0 * x * (n_g / 2.0) * total
+    return _SlotBatch(
+        n_group=cfg.n_group,
+        n_positions=cfg.n_active,
+        ends=tuple(ends),
+        total=np.concatenate(totals),
+        count=np.concatenate(counts),
+        hamming=np.concatenate(hammings),
+        idle=np.concatenate(idle),
+        matched=stacked(matched, 1),
+        swapped=stacked(swapped, 2),
+    )
+
+
+def _bound_sums(batch: _SlotBatch, noise_var: float) -> list[tuple[float, float]]:
+    """``(sum B, sum B * symbol Hamming)`` over every layout of the batch.
+
+    ``B`` is the three-term bound of one symbol pair.  One closed form
+    covers the idle antennas of every slot and one :func:`_block_log_mgf`
+    call each the matched and the swap blocks; the three MGF arguments lie
+    along a leading axis.  Each slot adds its idle antennas' and then its
+    blocks' log-MGFs position by position.
+    """
+    x = np.reshape(_mgf_arguments(noise_var), (-1, 1))
+    n_g = batch.n_group
+    size = batch.total.size
+    log_m = np.zeros((x.size, size))
+    idle = np.flatnonzero(batch.idle)
+    if idle.size:
+        edge = 1.0 - 2.0 * x * (n_g / 2.0) * batch.total[idle]
         if not np.all(edge > 0):
             raise MgfDomainError(f"argument x={x.ravel()} leaves the idle antennas indefinite")
-        log_m = log_m - n_unselected * np.log(edge)
-    for entries, symbols in blocks:
-        log_m = log_m + _block_log_mgf(*entries(*symbols, total, n_g), x)
+        log_m[:, idle] = -batch.idle[idle] * np.log(edge)
+    blocks = np.empty((x.size, size * batch.n_positions))
+    index, delta, total = batch.matched
+    if index.size:
+        blocks[:, index] = _block_log_mgf(*_matched_entries(delta, total, n_g), x)
+    index, mod, mod_hat, total = batch.swapped
+    if index.size:
+        blocks[:, index] = _block_log_mgf(*_swap_entries(mod, mod_hat, total, n_g), x)
+    blocks = blocks.reshape(x.size, size, batch.n_positions)
+    for l in range(batch.n_positions):
+        log_m = log_m + blocks[..., l]
     bound = 0.0
     for weight, values in zip(BOUND_WEIGHTS, np.exp(log_m)):
         bound = bound + weight * values
-    return float(np.sum(count * bound)), float(np.sum(hamming * bound))
+    weighted = batch.count * bound, batch.hamming * bound
+    starts = (0,) + batch.ends[:-1]
+    return [
+        (float(np.sum(weighted[0][a:b])), float(np.sum(weighted[1][a:b])))
+        for a, b in zip(starts, batch.ends)
+    ]
 
 
 def union_bound_ber(
@@ -537,31 +704,16 @@ def union_bound_ber(
             f"{ordered} ordered pairs exceed the ceiling of {pair_ceiling}; "
             "raise --pair-ceiling to evaluate them"
         )
-    per_row = codebook.symbols_per_row
-    combos = [tuple(int(v) for v in row) for row in codebook.combinations]
-    rows = np.arange(len(combos))
-    spatial_hamming = _popcount(rows[:, None] ^ rows[None, :]).tolist()
     # a pair's statistics depend on its rows only through which positions
-    # match, so group row pairs by that signature
-    signatures: dict[tuple[int, ...], list[int]] = {}
-    skipped = 0
-    for row, c in enumerate(combos):
-        for row_hat, c_hat in enumerate(combos):
-            try:
-                layout = pair_layout(c, c_hat, cfg.n_rx)
-            except UnsupportedPairError:
-                skipped += per_row * per_row
-                continue
-            entry = signatures.setdefault(layout.correct, [0, 0])
-            entry[0] += 1
-            entry[1] += spatial_hamming[row][row_hat]
-
+    # match, so row pairs are grouped by that signature
+    signatures, skipped_rows = _row_pair_signatures(codebook.combinations)
+    sums = _bound_sums(_slot_batch(codebook, signatures), noise_var)
     total = 0.0
-    for correct, (pair_count, spatial_sum) in signatures.items():
-        bound_sum, hamming_sum = _layout_sums(codebook, correct, noise_var)
+    for (pair_count, spatial_sum), (bound_sum, hamming_sum) in zip(signatures.values(), sums):
         # same-codeword pairs have zero Hamming weight (and a same-row
         # signature zero spatial weight), so they drop out by themselves
         total += spatial_sum * bound_sum + pair_count * hamming_sum
+    skipped = skipped_rows * codebook.symbols_per_row**2
     return UnionBoundResult(
         value=total / (size * cfg.rate),
         evaluated_pairs=ordered - skipped,

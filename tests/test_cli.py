@@ -129,6 +129,8 @@ class TestValidateConfig:
             'n_rx: "5"', "n_rx: 5.5", "n_rx: null", "symbol_energy: abc",
             'max_bit_errors: "9"', "seed: abc", "trials: 1.5", "stagger: maybe",
             "n_active: true", "symbol_energy: true", "stagger: 1",
+            "symbol_energy: .nan", "symbol_energy: .inf",
+            "combination_table: [[1.5, 3], [1, 4], [1, 5], [2, 3], [2, 4], [2, 5], [3, 4], [3, 5]]",
         ],
     )
     def test_mistyped_value_exits_two(self, tmp_path, capsys, line):

@@ -122,6 +122,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="ascending"):
             make_config(combination_table=table).validate()
 
+    @pytest.mark.parametrize("entry", [1.5, 1.0, True, "1"])
+    def test_explicit_table_non_integral(self, entry):
+        table = ((entry, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5))
+        with pytest.raises(ConfigError, match="combination_table"):
+            make_config(combination_table=table).validate()
+
+    def test_explicit_table_numpy_integers(self):
+        table = np.array([(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)])
+        cfg = make_config(combination_table=table).validate()
+        assert cfg.combination_table[7] == (3, 4)
+        assert all(type(a) is int for row in cfg.combination_table for a in row)
+
+    @pytest.mark.parametrize("energy", [float("nan"), float("inf")])
+    def test_non_finite_symbol_energy(self, energy):
+        with pytest.raises(ConfigError, match="symbol_energy"):
+            make_config(symbol_energy=energy).validate()
+
     def test_numpy_integers_accepted(self):
         cfg = make_config(n_rx=np.int64(5), seed=np.uint32(7)).validate()
         assert cfg.rate == 9

@@ -1,6 +1,8 @@
 """Tests for the analytical BER machinery: layouts, statistics, MGF, bound."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,10 +29,13 @@ from ris_rgsm.theory import (
     BOUND_WEIGHTS,
     DEFAULT_PAIR_CEILING,
     _block_log_mgf,
-    _layout_sums,
+    _bound_sums,
     _popcount,
+    _row_pair_signatures,
+    _slot_batch,
     pair_layout,
 )
+from ris_rgsm import theory
 
 from _oracles import (
     brute_force_union_bound,
@@ -93,6 +98,88 @@ class TestClassification:
         assert layout.correct == (0,)
         assert layout.swapped == (1,)
         assert layout.unselected == (2, 5)
+
+
+def loop_signatures(table, n_rx):
+    """Row-pair signatures of a combination table by a loop over pair_layout."""
+    signatures, skipped = {}, 0
+    for row, c in enumerate(table):
+        for row_hat, c_hat in enumerate(table):
+            try:
+                layout = pair_layout(c, c_hat, n_rx)
+            except UnsupportedPairError:
+                skipped += 1
+                continue
+            entry = signatures.setdefault(layout.correct, [0, 0])
+            entry[0] += 1
+            entry[1] += bin(row ^ row_hat).count("1")
+    return {k: tuple(v) for k, v in signatures.items()}, skipped
+
+
+@st.composite
+def combination_tables(draw):
+    """``(n_rx, n_active, table)``: the default lexicographic table or a
+    shuffled pick of ascending rows, n_active 1 to 3."""
+    n_active = draw(st.integers(1, 3))
+    n_rx = draw(st.integers(max(2, 2 * n_active), 2 * n_active + 3))
+    rows = list(itertools.combinations(range(1, n_rx + 1), n_active))
+    count = 1 << (len(rows).bit_length() - 1)
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return n_rx, n_active, tuple(rows[:count])
+
+
+class TestRowPairSignatures:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=combination_tables(),
+        max_bytes=st.sampled_from([1, 4096, theory._CLASSIFY_BYTES]),
+    )
+    def test_matches_pair_layout_loop(self, case, max_bytes):
+        """Signatures in first-occurrence order, their row pairs and spatial
+        sums, and the skipped row pairs equal a loop over pair_layout, with
+        the rows in one chunk or in many."""
+        n_rx, n_active, table = case
+        got = _row_pair_signatures(np.array(table), max_bytes=max_bytes)
+        want = loop_signatures(table, n_rx)
+        assert list(got[0].items()) == list(want[0].items())
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize(
+        "n_rx,table",
+        [
+            (6, tuple(itertools.combinations(range(1, 7), 3))[::-1][:16]),
+            (4, ((1, 3), (3, 4), (1, 2), (2, 4))),
+        ],
+    )
+    def test_union_bound_counts_custom_table(self, n_rx, table):
+        """A custom table with cross-position pairs: the bound reports the
+        loop's skipped pairs and signatures."""
+        cfg = make_config(
+            scheme="mux_psk", mod_order=2, ring_count=1, n_rx=n_rx,
+            n_active=len(table[0]), n_elements=48, combination_table=table,
+        )
+        cb = Codebook(cfg)
+        signatures, skipped_rows = loop_signatures(table, n_rx)
+        assert skipped_rows > 0
+        result = union_bound_ber(cb, 1.0)
+        assert result.skipped_pairs == skipped_rows * cb.symbols_per_row**2
+        assert result.signatures == len(signatures)
+        assert result.evaluated_pairs + result.skipped_pairs == cb.size * (cb.size - 1)
+
+    def test_chunks_bound_memory(self):
+        """512 rows of 4 antennas: the chunked comparison's temporaries stay
+        near the byte budget instead of the ~15 MB of one (R, R, L, L) step."""
+        table = np.array(list(itertools.islice(itertools.combinations(range(1, 14), 4), 512)))
+        budget = 2**20
+        tracemalloc.start()
+        try:
+            chunked = _row_pair_signatures(table, max_bytes=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * budget
+        assert chunked == _row_pair_signatures(table)
 
 
 class TestAssembledStatistics:
@@ -303,7 +390,7 @@ class TestBlockKernel:
         lam = max(np.linalg.eigvalsh(blk.cov)[-1] for blk in stats.swap_blocks)
         noise_var = -lam / 0.75  # the scale-1 argument -1/noise_var is 0.75 / lam
         with pytest.raises(MgfDomainError):
-            _layout_sums(cb, (), noise_var)
+            _bound_sums(_slot_batch(cb, [()]), noise_var)
         with pytest.raises(MgfDomainError):
             mgf_quadratic_form(stats.mean_vector(), stats.covariance(), 0.75 / lam)
         # a definite first block does not hide an indefinite second one
@@ -431,7 +518,31 @@ class TestUnionBound:
                 union_bound_ber(codebook, -1.0)
             for correct in [(0, 1), (0,), (1,), ()]:
                 with pytest.raises(MgfDomainError):
-                    _layout_sums(codebook, correct, -1.0)
+                    _bound_sums(_slot_batch(codebook, [correct]), -1.0)
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, SMALL_CODEBOOKS["n3-psk"], LAYOUT_CODEBOOKS["diversity-64"]]
+    )
+    def test_one_kernel_call_per_block_kind(self, monkeypatch, overrides):
+        """Every layout's blocks of one kind go through one kernel call."""
+        calls = []
+
+        def counted(cov, mean, x):
+            calls.append(len(mean))
+            return _block_log_mgf(cov, mean, x)
+
+        monkeypatch.setattr(theory, "_block_log_mgf", counted)
+        result = union_bound_ber(Codebook(make_config(**overrides)), noise_variance(-10.0))
+        assert result.signatures > 2
+        assert sorted(calls) == [2, 4]
+
+    def test_one_batch_equals_layout_batches(self, codebook):
+        """Flattening several layouts into one batch leaves each layout's sums
+        bit for bit as a batch of its own."""
+        layouts = [(0, 1), (), (1,), (0,)]
+        n0 = noise_variance(-12.0)
+        joint = _bound_sums(_slot_batch(codebook, layouts), n0)
+        assert joint == [_bound_sums(_slot_batch(codebook, [c]), n0)[0] for c in layouts]
 
     def test_unsupported_rows_skipped_and_reported(self, codebook):
         """Lexicographic 5x2 tables contain cross-position row pairs."""
