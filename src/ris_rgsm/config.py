@@ -393,10 +393,15 @@ def config_from_mapping(data: dict[str, Any]) -> SystemConfig:
     return cfg.validate()
 
 
+# libyaml's parser when PyYAML was built with it; both loaders construct
+# with the same SafeConstructor, so they give equal data
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _read_yaml(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
 

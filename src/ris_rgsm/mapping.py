@@ -213,23 +213,22 @@ class Codebook:
             m = cfg.mod_order
             count = m**n_a
             labels = np.arange(count)[:, None] // self.label_symbols[1] % m
-            phases = np.empty((count, n_a))
-            rho = np.ones((count, n_a))
-            active = np.full((count, n_a), n_g, dtype=np.int64)
-            for l in range(n_a):
-                for v in range(m):
-                    mask = labels[:, l] == v
-                    # Gray-coded phase labels, natural-binary 0-based ring labels
-                    if cfg.scheme is Scheme.MUX_PSK:
-                        k = gray_decode(v)
-                        phases[mask, l] = 2.0 * np.pi * k / m
-                    else:
-                        k = gray_decode(v >> cfg.ring_bits)
-                        ring = (v & (cfg.ring_count - 1)) + 1
-                        phases[mask, l] = 2.0 * np.pi * k / cfg.phase_order
-                        rho[mask, l] = ring / cfg.ring_count
-                        active[mask, l] = ring * (n_g // cfg.ring_count)
-            phases = phases + self.offsets[None, :]
+            # one table entry per group label, then looked up per position:
+            # Gray-coded phase labels, natural-binary 0-based ring labels
+            v = np.arange(m)
+            if cfg.scheme is Scheme.MUX_PSK:
+                k = np.array([gray_decode(int(u)) for u in v])
+                phase_of = 2.0 * np.pi * k / m
+                rho_of = np.ones(m)
+                active_of = np.full(m, n_g, dtype=np.int64)
+            else:
+                k = np.array([gray_decode(int(u)) for u in v >> cfg.ring_bits])
+                ring = (v & (cfg.ring_count - 1)) + 1
+                phase_of = 2.0 * np.pi * k / cfg.phase_order
+                rho_of = ring / cfg.ring_count
+                active_of = ring * (n_g // cfg.ring_count)
+            phases = phase_of[labels] + self.offsets[None, :]
+            rho, active = rho_of[labels], active_of[labels]
             symbols = amp * rho * np.exp(1j * phases)
             carriers = np.ones(count, dtype=complex)
 

@@ -59,7 +59,8 @@ exactly, without visiting the pairs one by one:
   (:func:`_coarse_keys`).
 
 The key tuples of every layout form one flat batch of slots
-(:func:`_slot_batch`), built once per call.  An SNR point then evaluates
+(:func:`_slot_batch`), built once per codebook together with the row-pair
+signatures (:func:`_noise_free_batch`).  An SNR point then evaluates
 the idle antennas' closed form once, :func:`_block_log_mgf` once for all
 matched and once for all swap blocks, and ``exp`` once
 (:func:`_bound_sums`).
@@ -685,6 +686,23 @@ def _bound_sums(batch: _SlotBatch, noise_var: float) -> list[tuple[float, float]
     ]
 
 
+def _noise_free_batch(codebook: Codebook):
+    """``(signatures, skipped row pairs, slot batch)`` of a codebook: every
+    input of the bound that does not depend on the noise.
+
+    Built at the first call and kept on the codebook, so it lives exactly as
+    long as the codebook does.
+    """
+    work = getattr(codebook, "_bound_work", None)
+    if work is None:
+        # a pair's statistics depend on its rows only through which
+        # positions match, so row pairs are grouped by that signature
+        signatures, skipped_rows = _row_pair_signatures(codebook.combinations)
+        work = signatures, skipped_rows, _slot_batch(codebook, signatures)
+        codebook._bound_work = work
+    return work
+
+
 def union_bound_ber(
     codebook: Codebook, noise_var: float, *, pair_ceiling: int = DEFAULT_PAIR_CEILING
 ) -> UnionBoundResult:
@@ -704,10 +722,8 @@ def union_bound_ber(
             f"{ordered} ordered pairs exceed the ceiling of {pair_ceiling}; "
             "raise --pair-ceiling to evaluate them"
         )
-    # a pair's statistics depend on its rows only through which positions
-    # match, so row pairs are grouped by that signature
-    signatures, skipped_rows = _row_pair_signatures(codebook.combinations)
-    sums = _bound_sums(_slot_batch(codebook, signatures), noise_var)
+    signatures, skipped_rows, batch = _noise_free_batch(codebook)
+    sums = _bound_sums(batch, noise_var)
     total = 0.0
     for (pair_count, spatial_sum), (bound_sum, hamming_sum) in zip(signatures.values(), sums):
         # same-codeword pairs have zero Hamming weight (and a same-row

@@ -1,9 +1,15 @@
 """Tests for system parameterization, validation, and config loading."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from ris_rgsm import ConfigError, Scheme, SystemConfig, load_config, load_manifest
+from ris_rgsm.config import _read_yaml
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_config(**overrides):
@@ -158,6 +164,14 @@ class TestFingerprint:
 
 
 class TestConfigFiles:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_libyaml_loader_reads_configs_alike(self, path):
+        text = path.read_text(encoding="utf-8")
+        data = yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == data
+        assert _read_yaml(path) == data
+
     def test_load_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from ris_rgsm import (
     SweepManifest,
     SystemConfig,
     compare,
+    load_manifest,
     merge_theory,
+    noise_variance,
     run_simulation,
     run_theory,
     snr_at_ber,
+    union_bound_ber,
     write_curve_csv,
     write_gap_report,
     write_plot_data,
@@ -33,9 +37,11 @@ from ris_rgsm.detector import (
     precompute_equivalent_channel,
     transmit,
 )
+from ris_rgsm.cli import main
 from ris_rgsm.encoder import encode
 from ris_rgsm.mapping import int_to_bits
 from ris_rgsm import simulate
+from ris_rgsm import theory as theory_engine
 from ris_rgsm.simulate import (
     BerCurve,
     BerPoint,
@@ -49,6 +55,7 @@ from ris_rgsm.simulate import (
 from _oracles import dense_ml_argmin
 
 TABLE_4X2 = ((1, 3), (1, 4), (2, 3), (2, 4))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(**overrides):
@@ -155,6 +162,16 @@ class TestSweepEngine:
     def test_block_counts_deterministic(self):
         cfg = small_config()
         assert _block_counts(cfg, -10.0, 3, 500) == _block_counts(cfg, -10.0, 3, 500)
+
+    def test_block_counts_reuse_one_codebook(self, monkeypatch):
+        """The blocks of one config build its codebook once; the config's
+        explicit combination table is part of the cache key."""
+        simulate._cached_codebook.cache_clear()
+        codebooks = counting(monkeypatch, simulate, "Codebook")
+        cfg = small_config()
+        for block in range(4):
+            _block_counts(cfg, -10.0, block, 64)
+        assert len(codebooks) == 1
 
 
 # One small config per scheme, constellation, rate 13 and n_active = 3, with
@@ -276,6 +293,79 @@ class TestTheorySweep:
         big = run_theory(small_config(n_elements=128, snr_grid_db=grids))
         for a, b in zip(small.points, big.points):
             assert b.theory_bound < a.theory_bound
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from now on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def fresh_bound_hex(cfg):
+    """Bounds of ``cfg``'s grid, each from a codebook built for that point."""
+    return [
+        union_bound_ber(Codebook(cfg), noise_variance(snr, cfg.symbol_energy)).value.hex()
+        for snr in sorted(cfg.snr_grid_db)
+    ]
+
+
+class TestNoiseFreeWork:
+    """The union bound's noise-free work is built once per codebook and
+    lives on it."""
+
+    @pytest.fixture(autouse=True)
+    def empty_codebook_cache(self):
+        simulate._cached_codebook.cache_clear()
+
+    def test_one_build_per_sweep(self, monkeypatch):
+        signatures = counting(monkeypatch, theory_engine, "_row_pair_signatures")
+        batches = counting(monkeypatch, theory_engine, "_slot_batch")
+        grid = tuple(float(s) for s in range(-26, -11))
+        curve = run_theory(small_config(n_elements=64, snr_grid_db=grid))
+        assert len(curve.points) == 15
+        assert len(signatures) == len(batches) == 1
+
+    def test_one_build_per_curve_of_a_manifest(self, monkeypatch, tmp_path):
+        """A whole-grid compare builds one codebook and one batch per curve."""
+        codebooks = counting(monkeypatch, simulate, "Codebook")
+        batches = counting(monkeypatch, theory_engine, "_slot_batch")
+        argv = ["compare", "--kind", "theory",
+                "-c", str(CONFIG_DIR / "element_scaling.yaml"), "-o", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(codebooks) == len(batches) == 3
+
+    def test_memoized_bounds_equal_fresh_codebooks(self):
+        cfg = small_config(n_elements=64, snr_grid_db=(-24.0, -18.0, -12.0))
+        got = [p.theory_bound.hex() for p in run_theory(cfg).points]
+        assert got == fresh_bound_hex(cfg)
+
+    def test_element_counts_get_their_own_work(self):
+        entries = load_manifest(CONFIG_DIR / "element_scaling.yaml").entries
+        cfgs = [cfg.with_overrides(snr_grid_db=(-17.0, -11.0)) for _, cfg in entries]
+        bounds = [[p.theory_bound.hex() for p in run_theory(cfg).points] for cfg in cfgs]
+        assert len({b[0] for b in bounds}) == len(cfgs)
+        assert bounds == [fresh_bound_hex(cfg) for cfg in cfgs]
+
+    def test_symbol_energies_get_their_own_work(self):
+        unit = small_config(
+            scheme="mux_apsk", mod_order=8, ring_count=2, combination_table=None,
+            n_rx=5, n_elements=64, snr_grid_db=(-16.0, -10.0),
+        )
+        double = unit.with_overrides(symbol_energy=2.0)
+        bounds = [[p.theory_bound.hex() for p in run_theory(cfg).points] for cfg in (unit, double)]
+        assert bounds == [fresh_bound_hex(unit), fresh_bound_hex(double)]
+        n0 = noise_variance(-10.0)
+        assert (
+            union_bound_ber(simulate._cached_codebook(unit), n0).value
+            != union_bound_ber(simulate._cached_codebook(double), n0).value
+        )
 
 
 def synthetic_curve(label, points):

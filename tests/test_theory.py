@@ -569,6 +569,12 @@ class TestUnionBound:
         with pytest.raises(EnumerationRefusedError, match="--pair-ceiling"):
             union_bound_ber(codebook, 1.0, pair_ceiling=1000)
 
+    def test_refusal_leaves_nothing_cached(self):
+        fresh = Codebook(make_config())
+        with pytest.raises(EnumerationRefusedError):
+            union_bound_ber(fresh, 1.0, pair_ceiling=1000)
+        assert not hasattr(fresh, "_bound_work")
+
     def test_default_ceiling_admits_rate_13_only(self):
         """Rate 13 runs by default; rate 15 is refused before any work."""
         assert 8192 * 8191 <= DEFAULT_PAIR_CEILING < 32768 * 32767
