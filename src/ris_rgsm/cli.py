@@ -7,6 +7,7 @@ is refused above the pair ceiling.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -65,7 +66,9 @@ def _add_theory_opts(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="ris-rgsm",
         description="RIS-aided receive generalized spatial modulation: "

@@ -4,10 +4,11 @@ The equivalent-channel tensor collects, for every receive antenna and every
 group, the reflected sum obtained when that group steers toward any
 candidate antenna.  One tensor serves all hypotheses of a channel
 realization.  The ML search scores the codebook without an
-``(n_rx, codebook)`` hypothesis tensor: the metric of a MUX codeword splits
-into one term per group plus one cross term per pair of groups, and a
-diversity or RGSSK codeword, whose groups share one symbol, responds with
-its row's summed group response times that symbol.
+``(n_rx, codebook)`` hypothesis tensor: every codeword responds with a sum
+of label factors (one per group for MUX, the row's summed group response
+for diversity and RGSSK), so its metric is a few real features of the
+trial and combination row times a per-symbol coefficient table that the
+codebook builds once.  One matmul scores every codeword of a block.
 :func:`hypothesis_matrix` is the dense reference model of the same
 responses.
 
@@ -131,99 +132,71 @@ def hypothesis_matrix(equiv: EquivalentChannel, codebook: Codebook) -> np.ndarra
     return predicted
 
 
-def _group_factors(equiv: EquivalentChannel, codebook: Codebook) -> list[np.ndarray]:
-    """Per-group responses of a MUX codebook, whose sum over the list is
-    every codeword's response.
-
-    Each factor is ``(..., rows, labels, n_rx)``: group ``i``'s ring-matched
-    response for every combination row and label, times that label's wave.
-    """
-    cfg = codebook.config
-    order, n_active = cfg.mod_order, cfg.n_active
-    # group i's wave for label q is that of the symbol with label q on group i
-    # and 0 elsewhere; a label's low bits are its ring, so (phase, ring) splits it
-    waves = codebook.group_waves[codebook.label_symbols, np.arange(n_active)]
-    waves = waves.reshape(-1, cfg.ris_rings, n_active, 1)
-    per_target = np.moveaxis(equiv.ring_tensor, -4, -1)  # (..., groups, antennas, rings, n_rx)
-    factors = []
-    for i in range(n_active):
-        steered = per_target[..., i, codebook.combinations[:, i] - 1, :, :]
-        factor = steered[..., None, :, :] * waves[:, :, i]  # (..., rows, phases, rings, n_rx)
-        factors.append(factor.reshape(*factor.shape[:-3], order, cfg.n_rx))
-    return factors
-
-
-def _on_grid(term: np.ndarray, groups, n_factors: int) -> np.ndarray:
-    """Unit axes for the factors a term does not span, so it broadcasts on
-    the ``(..., rows, label_1, ..., label_L)`` grid."""
-    return term[(..., *(slice(None) if i in groups else None for i in range(n_factors)))]
-
-
-def _mux_metric(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook) -> np.ndarray:
-    """Half the metric minus ``||y||^2 / 2`` on the ``(..., rows, label_1,
-    ..., label_L)`` grid, from the factors of :func:`_group_factors`."""
-    # complex inner products as real dot products over interleaved re/im
-    factors = [np.ascontiguousarray(v).view(np.float64) for v in _group_factors(equiv, codebook)]
-    y = np.ascontiguousarray(samples, dtype=complex).view(np.float64)[..., None, :, None]
-    n = len(factors)
-    terms = [
-        _on_grid(factors[i] @ np.swapaxes(factors[j], -1, -2), (i, j), n)
-        for i, j in itertools.combinations(range(n), 2)
-    ]
-    terms += [
-        _on_grid(0.5 * np.einsum("...k,...k->...", v, v) - (v @ y)[..., 0], (i,), n)
-        for i, v in enumerate(factors)
-    ]
-    # accumulate in place: fresh grid-sized buffers cost more than the adds
-    grid = np.broadcast_shapes(*(term.shape for term in terms))
-    metric = terms[0] if terms[0].shape == grid else np.broadcast_to(terms[0], grid).copy()
-    for term in terms[1:]:
-        metric += term
-    return metric
-
-
-def _shared_symbol_metric(
+def _metric_features(
     samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook
 ) -> np.ndarray:
-    """Half the metric minus ``||y||^2 / 2`` on the ``(..., rows, symbols)``
-    grid of a diversity or RGSSK codebook.
+    """Real ``(..., rows, F)`` features of every trial and combination row,
+    in the row layout of :attr:`Codebook.metric_table`.
 
-    Every group is fully ON and carries the same wave ``w_q``, so codeword
-    ``(r, q)`` responds with ``w_q u_r``, where ``u_r`` sums the row's steered
-    group responses.  With ``z_r = <y, u_r>`` the entry is
-    ``|w_q|^2 ||u_r||^2 / 2 - Re(w_q z_r)``: ``(rows, n_rx)`` work per trial
-    and one ``(rows, 3) @ (3, symbols)`` product for the grid.
+    A factor's steered responses are columns of one ``(..., n_rx, columns)``
+    array: every (group, target antenna, ring) of ``ring_tensor`` for MUX,
+    one summed group response per row for diversity and RGSSK.  Norms and
+    inner products with ``y`` are taken once per column, and the cross
+    products of a group pair once per pair of their columns; each row then
+    gathers the entries of its own columns.
     """
     combos = codebook.combinations - 1
-    # u_r for every row: (..., n_rx, rows)
-    summed = equiv.tensor[..., np.arange(combos.shape[1]), combos].sum(axis=-1)
-    z = np.einsum("...n,...nr->...r", np.conj(samples), summed)
-    power = np.einsum("...nr,...nr->...r", summed, np.conj(summed)).real
-    w = codebook.group_waves[:, 0]
-    per_row = np.stack([power, -z.real, z.imag], axis=-1)
-    per_symbol = np.stack([0.5 * np.abs(w) ** 2, w.real, w.imag])
-    return per_row @ per_symbol
+    rows, n_active = combos.shape
+    ring_tensor = equiv.ring_tensor
+    n_rx, rings = ring_tensor.shape[-4], ring_tensor.shape[-1]
+    ring, pairs = np.arange(rings), ()
+    if codebook.config.scheme.is_mux:
+        # column (l * n_rx + a) * rings + rho: group l toward antenna a, ring rho
+        columns = ring_tensor.reshape(*ring_tensor.shape[:-3], -1)
+        slots = ((np.arange(n_active) * n_rx + combos)[..., None] * rings + ring).reshape(rows, -1)
+        pairs = itertools.combinations(range(n_active), 2)
+    else:
+        columns = equiv.tensor[..., np.arange(n_active), combos].sum(axis=-1)
+        slots = np.arange(rows)[:, None]
+    columns = np.ascontiguousarray(columns, dtype=complex)
+    # ||g||^2 of every column: squares of the interleaved real and imaginary parts
+    parts = columns.view(np.float64)
+    norms = np.einsum("...nk,...nk->...k", parts, parts)
+    norms = norms[..., ::2] + norms[..., 1::2]
+    inner = (np.conj(samples)[..., None, :] @ columns)[..., 0, :]
+    products = [np.take(inner, slots, axis=-1)]
+    span = n_rx * rings
+    for i, j in pairs:
+        left = np.conj(columns[..., i * span : (i + 1) * span])
+        gram = np.swapaxes(left, -1, -2) @ columns[..., j * span : (j + 1) * span]
+        # row r pairs ring rho of group i's target with ring rho' of group j's
+        at = (combos[:, i, None, None] * rings + ring[:, None]) * span
+        at = at + combos[:, j, None, None] * rings + ring
+        products.append(np.take(gram.reshape(*gram.shape[:-2], -1), at.reshape(rows, -1), axis=-1))
+    products = np.concatenate(products, axis=-1)
+    return np.concatenate(
+        [0.5 * np.take(norms, slots, axis=-1), products.real, products.imag], axis=-1
+    )
 
 
 def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook) -> np.ndarray:
     """Codeword index minimizing the Euclidean metric, per trial.
 
-    No dense hypothesis tensor is built.  A MUX codeword's response is the
-    sum ``p = sum_l v_l`` of its factors (one per group, see
-    :func:`_group_factors`), so
+    No hypothesis tensor is built.  A codeword's response is a sum of label
+    factors ``p = sum_l w_l g_l``, so
 
-        ||y - p||^2 - ||y||^2 = sum_l (||v_l||^2 - 2 Re<y, v_l>)
-                                + 2 sum_{l<l'} Re<v_l, v_l'>
+        (||y - p||^2 - ||y||^2) / 2 = sum_l (|w_l|^2 ||g_l||^2 / 2
+                                             - Re(w_l <y, g_l>))
+                                      + sum_{l<l'} Re(conj(w_l) w_l' <g_l, g_l'>)
 
-    takes one matmul per pair of groups.  Diversity and RGSSK responses are
-    rank one (see :func:`_shared_symbol_metric`).  Half the metric is
-    scored (halving is exact, so the argmin is the same) on a ``(..., rows,
-    label_1, ..., label_L)`` or ``(..., rows, symbols)`` grid whose flat
+    is linear in a few real features of each trial and row (see
+    :func:`_metric_features`) with coefficients that depend on the symbol
+    alone (:attr:`Codebook.metric_table`).  Half the metric, whose argmin is
+    the same, is one matmul onto a ``(..., rows, symbols)`` grid whose flat
     index is the codeword index, so ties break toward the lowest index.
     ``samples`` is ``(..., n_rx)`` with the leading axes of ``equiv``.
     """
-    score = _mux_metric if codebook.config.scheme.is_mux else _shared_symbol_metric
-    metric = score(samples, equiv, codebook)
+    metric = _metric_features(samples, equiv, codebook) @ codebook.metric_table
     return np.argmin(metric.reshape(*np.shape(samples)[:-1], -1), axis=-1)
 
 

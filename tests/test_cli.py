@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ris_rgsm.cli import main
+from ris_rgsm.cli import build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -283,3 +283,20 @@ class TestCompareCommand:
             "  - {label: b, scheme: mux_psk, mod_order: 8}\n"
         )
         assert main(["compare", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
+
+
+def test_parser_built_once_per_process(good_config, capsys):
+    """Repeated calls share one parser, and parsing leaves it unchanged:
+    a later call prints the same help and the same usage error."""
+    build_parser.cache_clear()
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as help_exit:
+            main(["simulate", "--help"])
+        with pytest.raises(SystemExit) as error_exit:
+            main(["simulate", "-c", str(good_config), "--workers", "two"])
+        assert main(["validate-config", "-c", str(good_config)]) == 0
+        assert (help_exit.value.code, error_exit.value.code) == (0, 2)
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert build_parser.cache_info().misses == 1

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ris_rgsm import (
@@ -21,7 +21,13 @@ from ris_rgsm import (
     transmit,
 )
 from ris_rgsm.channel import sample_gains
-from ris_rgsm.detector import EquivalentChannel, ReceivedVector, hypothesis_matrix, ml_argmin
+from ris_rgsm.detector import (
+    EquivalentChannel,
+    ReceivedVector,
+    _metric_features,
+    hypothesis_matrix,
+    ml_argmin,
+)
 from ris_rgsm.encoder import ReflectionVector
 from ris_rgsm.simulate import default_block_size
 
@@ -270,6 +276,27 @@ class TestDetectML:
         assert (trials, dense_bytes) == (976, 976 * 5 * 512 * 16)
         assert peak < dense_bytes / 4
 
+    def test_rate13_search_allocates_about_one_grid(self):
+        """A rate-13 MUX APSK sweep block peaks below two of its
+        ``(trials, rows, symbols)`` float64 metric grids."""
+        cfg = make_config(scheme="mux_apsk", mod_order=32, ring_count=2)
+        cb = Codebook(cfg)
+        trials = default_block_size(cfg)
+        rng = stream_rng(5, 1)
+        channel = ChannelMatrix(sample_gains((trials, cfg.n_rx, cfg.n_elements), rng))
+        equiv = precompute_equivalent_channel(channel, cfg)
+        shape = (trials, cfg.n_rx)
+        samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grid_bytes = trials * cb.size * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            ml_argmin(samples, equiv, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cfg.rate, trials, cb.size) == (13, 61, 8192)
+        assert peak < 2 * grid_bytes
+
 
 @st.composite
 def small_configs(draw):
@@ -324,6 +351,43 @@ def test_factored_argmin_matches_dense_reference(cfg, trials, snr_db):
         dense = dense_ml_argmin(received.samples, hypothesis_matrix(equiv, cb))
         assert np.array_equal(detected, dense)
     assert np.array_equal(detected, index)
+
+
+@given(small_configs(), st.integers(0, 3), st.floats(-20.0, 10.0))
+@example(
+    cfg=SystemConfig(scheme="mux_psk", n_active=1, n_rx=3, n_elements=4, mod_order=8).validate(),
+    trials=0, snr_db=0.0,
+)
+@example(
+    cfg=SystemConfig(
+        scheme="mux_apsk", n_active=2, n_rx=4, n_elements=8, mod_order=8, ring_count=2,
+        symbol_energy=2.5, stagger=True,
+    ).validate(),
+    trials=0, snr_db=-5.0,
+)
+@settings(max_examples=60, deadline=None)
+def test_feature_table_gives_the_metric(cfg, trials, snr_db):
+    """Features times the codebook's table is ``(||y - p||^2 - ||y||^2) / 2``
+    of every hypothesis ``p`` of the dense model, for a batch of trials or
+    one unbatched trial (``trials == 0``)."""
+    cb = Codebook(cfg)
+    rng = stream_rng(cfg.seed, 8)
+    lead = (trials,) if trials else ()
+    codewords = cb.codeword(rng.integers(0, cb.size, size=lead))
+    channel = ChannelMatrix(sample_gains(lead + (cfg.n_rx, cfg.n_elements), rng))
+    equiv = precompute_equivalent_channel(channel, cfg)
+    samples = transmit(
+        encode(codewords, channel, cfg), channel, snr_db, rng,
+        carrier=codewords.carrier, symbol_energy=cfg.symbol_energy,
+    ).samples
+    metric = _metric_features(samples, equiv, cb) @ cb.metric_table
+    hypotheses = hypothesis_matrix(equiv, cb)
+    y = samples[..., None, None]
+    power = np.sum(np.abs(y) ** 2, axis=-3)
+    reference = 0.5 * (np.sum(np.abs(y - hypotheses) ** 2, axis=-3) - power)
+    scale = power + np.sum(np.abs(hypotheses) ** 2, axis=-3)
+    assert metric.shape == lead + (cb.combinations.shape[0], cb.symbols_per_row)
+    assert np.all(np.abs(metric - reference) <= 1e-10 * scale)
 
 
 class TestCountBitErrors:

@@ -173,6 +173,18 @@ class TestSweepEngine:
             _block_counts(cfg, -10.0, block, 64)
         assert len(codebooks) == 1
 
+    def test_sweep_builds_one_metric_table(self, monkeypatch):
+        """The blocks of every point of a sweep score with one symbol table."""
+        simulate._cached_codebook.cache_clear()
+        tables = counting(monkeypatch, Codebook, "_metric_table")
+        cfg = small_config(
+            scheme="mux_apsk", mod_order=8, ring_count=2, n_rx=5, combination_table=None,
+            snr_grid_db=(-10.0, -4.0), trials=256,
+        )
+        curve = run_simulation(cfg, block_size=64)
+        assert [p.trials for p in curve.points] == [256, 256]
+        assert len(tables) == 1
+
 
 # One small config per scheme, constellation, rate 13 and n_active = 3, with
 # (snr_db, block_size) and the (trials, total, spatial, symbol) error counts
