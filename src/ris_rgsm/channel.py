@@ -19,6 +19,8 @@ import numpy as np
 
 from .config import SystemConfig
 
+_DRAW_CHUNK = 65_536  # normals per draw of sample_gains into its reused buffer
+
 
 def element_index(group: int, member: int, group_size: int) -> int:
     """Column index of a group member: ``(group - 1) * group_size + member``.
@@ -96,10 +98,24 @@ class ChannelMatrix:
 
 
 def sample_gains(shape, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. CN(0, 1) entries; all real parts are drawn before all imaginary parts."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    """i.i.d. CN(0, 1) entries; all real parts are drawn before all imaginary parts.
+
+    The normals go through one reused buffer of ``_DRAW_CHUNK`` values, so a
+    large draw allocates only its result.  The values, their order and the
+    generator's final state are those of two whole-shape draws, and the
+    entries equal ``(re + 1j * im) / np.sqrt(2.0)`` bit for bit: numpy
+    divides a complex by a real as a product with the reciprocal.
+    """
+    gains = np.empty(shape, dtype=complex)
+    flat = gains.reshape(-1)
+    buffer = np.empty(min(_DRAW_CHUNK, flat.size))
+    scale = 1.0 / np.sqrt(2.0)
+    for part in (flat.real, flat.imag):
+        for start in range(0, flat.size, _DRAW_CHUNK):
+            chunk = buffer[: min(_DRAW_CHUNK, flat.size - start)]
+            rng.standard_normal(out=chunk)
+            np.multiply(chunk, scale, out=part[start : start + chunk.size])
+    return gains
 
 
 def sample_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelMatrix:

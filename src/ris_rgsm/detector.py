@@ -8,8 +8,9 @@ realization.  The ML search scores the codebook without an
 of label factors (one per group for MUX, the row's summed group response
 for diversity and RGSSK), so its metric is a few real features of the
 trial and combination row times a per-symbol coefficient table that the
-codebook builds once.  One matmul scores every codeword of a block.
-:func:`hypothesis_matrix` is the dense reference model of the same
+codebook builds once.  One matmul scores every codeword of a tile of
+trials (:func:`trial_tiles`), or of a tile of rows when one trial's grid
+exceeds the tile budget.  :func:`hypothesis_matrix` is the dense reference model of the same
 responses.
 
 Stagger rotations live in the codebook's equivalent symbols, never in the
@@ -20,6 +21,7 @@ counted twice.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +31,10 @@ from .channel import ChannelMatrix
 from .config import SystemConfig
 from .encoder import ReflectionVector
 from .mapping import Codebook, Codeword
+
+# bytes of working set of the equivalent channel and the ML search per tile
+# of trials (trial_tiles) and per tile of combination rows (ml_argmin)
+_TILE_BYTES = 6 * 2**20
 
 
 def noise_variance(snr_db: float, symbol_energy: float = 1.0) -> float:
@@ -132,6 +138,38 @@ def hypothesis_matrix(equiv: EquivalentChannel, codebook: Codebook) -> np.ndarra
     return predicted
 
 
+def _feature_index(codebook: Codebook):
+    """``(combos, slots, pairs)`` index arrays of :func:`_metric_features`.
+
+    ``combos`` holds the 0-based combination rows and ``slots`` each row's
+    columns; ``pairs`` holds ``(i, j, at)`` per group pair, ``at`` each
+    row's entries of the pair's flattened Gram matrix.  Built at the first
+    search and kept on the codebook, so codebooks that only serve the
+    theory never build them.
+    """
+    index = getattr(codebook, "_feature_index", None)
+    if index is None:
+        cfg = codebook.config
+        combos = codebook.combinations - 1
+        rows, n_active = combos.shape
+        n_rx, rings = cfg.n_rx, cfg.ris_rings
+        ring, pairs = np.arange(rings), []
+        if cfg.scheme.is_mux:
+            # column (l * n_rx + a) * rings + rho: group l toward antenna a, ring rho
+            slots = ((np.arange(n_active) * n_rx + combos)[..., None] * rings + ring).reshape(rows, -1)
+            span = n_rx * rings
+            for i, j in itertools.combinations(range(n_active), 2):
+                # row r pairs ring rho of group i's target with ring rho' of group j's
+                at = (combos[:, i, None, None] * rings + ring[:, None]) * span
+                at = at + combos[:, j, None, None] * rings + ring
+                pairs.append((i, j, at.reshape(rows, -1)))
+        else:
+            slots = np.arange(rows)[:, None]
+        index = combos, slots, pairs
+        codebook._feature_index = index
+    return index
+
+
 def _metric_features(
     samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook
 ) -> np.ndarray:
@@ -145,19 +183,12 @@ def _metric_features(
     products of a group pair once per pair of their columns; each row then
     gathers the entries of its own columns.
     """
-    combos = codebook.combinations - 1
-    rows, n_active = combos.shape
+    combos, slots, pairs = _feature_index(codebook)
     ring_tensor = equiv.ring_tensor
-    n_rx, rings = ring_tensor.shape[-4], ring_tensor.shape[-1]
-    ring, pairs = np.arange(rings), ()
     if codebook.config.scheme.is_mux:
-        # column (l * n_rx + a) * rings + rho: group l toward antenna a, ring rho
         columns = ring_tensor.reshape(*ring_tensor.shape[:-3], -1)
-        slots = ((np.arange(n_active) * n_rx + combos)[..., None] * rings + ring).reshape(rows, -1)
-        pairs = itertools.combinations(range(n_active), 2)
     else:
-        columns = equiv.tensor[..., np.arange(n_active), combos].sum(axis=-1)
-        slots = np.arange(rows)[:, None]
+        columns = equiv.tensor[..., np.arange(combos.shape[1]), combos].sum(axis=-1)
     columns = np.ascontiguousarray(columns, dtype=complex)
     # ||g||^2 of every column: squares of the interleaved real and imaginary parts
     parts = columns.view(np.float64)
@@ -165,18 +196,31 @@ def _metric_features(
     norms = norms[..., ::2] + norms[..., 1::2]
     inner = (np.conj(samples)[..., None, :] @ columns)[..., 0, :]
     products = [np.take(inner, slots, axis=-1)]
-    span = n_rx * rings
-    for i, j in pairs:
+    span = ring_tensor.shape[-4] * ring_tensor.shape[-1]
+    for i, j, at in pairs:
         left = np.conj(columns[..., i * span : (i + 1) * span])
         gram = np.swapaxes(left, -1, -2) @ columns[..., j * span : (j + 1) * span]
-        # row r pairs ring rho of group i's target with ring rho' of group j's
-        at = (combos[:, i, None, None] * rings + ring[:, None]) * span
-        at = at + combos[:, j, None, None] * rings + ring
-        products.append(np.take(gram.reshape(*gram.shape[:-2], -1), at.reshape(rows, -1), axis=-1))
+        products.append(np.take(gram.reshape(*gram.shape[:-2], -1), at, axis=-1))
     products = np.concatenate(products, axis=-1)
     return np.concatenate(
         [0.5 * np.take(norms, slots, axis=-1), products.real, products.imag], axis=-1
     )
+
+
+def trial_tiles(trials: int, codebook: Codebook) -> list[slice]:
+    """Equal slices of a batch of ``trials`` whose equivalent channel and ML
+    search each fit in ``_TILE_BYTES``.
+
+    A trial's share is its equivalent-channel temporaries, about 48 bytes
+    per channel entry, plus its float64 metric grid of one value per
+    codeword.  A trial whose grid alone exceeds the budget makes a tile of
+    its own, and :func:`ml_argmin` scans its rows in tiles.
+    """
+    cfg = codebook.config
+    per_trial = 48 * cfg.n_rx * cfg.n_elements + 8 * codebook.size
+    count = math.ceil(trials / max(1, _TILE_BYTES // per_trial))
+    step = math.ceil(trials / count)
+    return [slice(start, start + step) for start in range(0, trials, step)]
 
 
 def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook) -> np.ndarray:
@@ -194,10 +238,27 @@ def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook)
     alone (:attr:`Codebook.metric_table`).  Half the metric, whose argmin is
     the same, is one matmul onto a ``(..., rows, symbols)`` grid whose flat
     index is the codeword index, so ties break toward the lowest index.
+    When that grid exceeds ``_TILE_BYTES``, the rows are scored in tiles
+    under it and a tile's minimum replaces the running one only when it is
+    strictly smaller, which keeps the lowest-index tie rule.
     ``samples`` is ``(..., n_rx)`` with the leading axes of ``equiv``.
     """
-    metric = _metric_features(samples, equiv, codebook) @ codebook.metric_table
-    return np.argmin(metric.reshape(*np.shape(samples)[:-1], -1), axis=-1)
+    features = _metric_features(samples, equiv, codebook)
+    table = codebook.metric_table
+    lead = np.shape(samples)[:-1]
+    rows, symbols = features.shape[-2], table.shape[1]
+    step = max(1, _TILE_BYTES // (8 * symbols * math.prod(lead)))
+    if step >= rows:
+        return np.argmin((features @ table).reshape(*lead, -1), axis=-1)
+    best, index = np.full(lead, np.inf), np.zeros(lead, dtype=np.intp)
+    for start in range(0, rows, step):
+        metric = (features[..., start : start + step, :] @ table).reshape(*lead, -1)
+        at = np.argmin(metric, axis=-1)
+        value = np.take_along_axis(metric, at[..., None], axis=-1)[..., 0]
+        better = value < best
+        best = np.where(better, value, best)
+        index = np.where(better, at + start * symbols, index)
+    return index[()]  # a scalar for unbatched samples, as np.argmin gives
 
 
 def detect_ml(

@@ -28,10 +28,11 @@ from .detector import (
     noise_variance,
     precompute_equivalent_channel,
     transmit,
+    trial_tiles,
 )
 from .encoder import encode
 from .mapping import Codebook, int_to_bits
-from .theory import DEFAULT_PAIR_CEILING, union_bound_ber
+from .theory import DEFAULT_PAIR_CEILING, check_pair_ceiling, union_bound_ber
 
 UNRELIABLE_ERROR_COUNT = 10
 _WAVE_SIZES = (1, 1, 2, 4, 8, 16, 32)
@@ -100,8 +101,11 @@ def default_block_size(config: SystemConfig) -> int:
 def _block_counts(config: SystemConfig, snr_db: float, block_index: int, block_size: int):
     """Simulate one trial block; returns (trials, total, spatial, symbol) errors.
 
-    Each stage runs once on the whole block: the per-trial link-model
-    functions with a leading trial axis.
+    Each stage is a per-trial link-model function with a leading trial
+    axis.  The draws, ``encode`` and ``transmit`` run on the whole block,
+    because the block keys the random streams; the equivalent channel and
+    the ML search run on the block's :func:`trial_tiles`, so their working
+    set stays under a fixed budget at any block size.
     """
     cb = _cached_codebook(config)
     cfg = cb.config
@@ -117,7 +121,14 @@ def _block_counts(config: SystemConfig, snr_db: float, block_index: int, block_s
         carrier=codewords.carrier,
         symbol_energy=cfg.symbol_energy,
     )
-    detected = ml_argmin(received.samples, precompute_equivalent_channel(channel, cfg), cb)
+    detected = np.concatenate([
+        ml_argmin(
+            received.samples[tile],
+            precompute_equivalent_channel(ChannelMatrix(channel.gains[tile]), cfg),
+            cb,
+        )
+        for tile in trial_tiles(block_size, cb)
+    ])
     labels = int_to_bits(detected, cfg.rate)
     return (block_size, *count_bit_errors(bits, labels, cfg.spatial_bits))
 
@@ -228,6 +239,8 @@ def run_theory(
     config.validate()
     if not config.snr_grid_db:
         raise ConfigError("config has an empty snr grid")
+    # refused from the rate alone: the codebook of a refused rate can need gigabytes
+    check_pair_ceiling(1 << config.rate, pair_ceiling)
     codebook = _cached_codebook(config)
     points = []
     for snr in sorted(config.snr_grid_db):

@@ -703,6 +703,21 @@ def _noise_free_batch(codebook: Codebook):
     return work
 
 
+def check_pair_ceiling(size: int, pair_ceiling: int) -> int:
+    """Ordered pairs of a codebook of ``size`` codewords; raises
+    :class:`EnumerationRefusedError` above ``pair_ceiling``.
+
+    Needs the size alone, so a caller can refuse before building the codebook.
+    """
+    ordered = size * (size - 1)
+    if ordered > pair_ceiling:
+        raise EnumerationRefusedError(
+            f"{ordered} ordered pairs exceed the ceiling of {pair_ceiling}; "
+            "raise --pair-ceiling to evaluate them"
+        )
+    return ordered
+
+
 def union_bound_ber(
     codebook: Codebook, noise_var: float, *, pair_ceiling: int = DEFAULT_PAIR_CEILING
 ) -> UnionBoundResult:
@@ -716,12 +731,7 @@ def union_bound_ber(
     """
     cfg = codebook.config
     size = codebook.size
-    ordered = size * (size - 1)
-    if ordered > pair_ceiling:
-        raise EnumerationRefusedError(
-            f"{ordered} ordered pairs exceed the ceiling of {pair_ceiling}; "
-            "raise --pair-ceiling to evaluate them"
-        )
+    ordered = check_pair_ceiling(size, pair_ceiling)
     signatures, skipped_rows, batch = _noise_free_batch(codebook)
     sums = _bound_sums(batch, noise_var)
     total = 0.0

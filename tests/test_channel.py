@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from ris_rgsm import SystemConfig, element_index, sample_channel, stream_rng
-from ris_rgsm.channel import ChannelMatrix
+from ris_rgsm import channel
+from ris_rgsm.channel import ChannelMatrix, sample_gains
+
+CHUNK = channel._DRAW_CHUNK
 
 
 def make_config(**overrides):
@@ -86,6 +89,31 @@ class TestDeterminism:
         a = sample_channel(cfg, stream_rng(42, 3, 7))
         b = sample_channel(cfg, stream_rng(42, 4, 7))
         assert not np.allclose(a.gains, b.gains)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 5), (CHUNK,), (2, CHUNK), (3, 4, CHUNK // 4 + 1), (CHUNK + 7,)],
+        ids=["below-chunk", "one-chunk", "two-chunks", "non-multiple", "chunk-plus-tail"],
+    )
+    def test_chunked_draw_is_the_whole_shape_draw(self, shape):
+        """The chunked draw gives the bits of two whole-shape draws scaled by
+        1/sqrt(2), and leaves the stream where those draws leave it."""
+        rng, twin = stream_rng(7, 1, 2), stream_rng(7, 1, 2)
+        gains = sample_gains(shape, rng)
+        re, im = twin.standard_normal(shape), twin.standard_normal(shape)
+        expected = (re + 1j * im) / np.sqrt(2.0)
+        assert gains.shape == expected.shape and gains.tobytes() == expected.tobytes()
+        assert rng.standard_normal(9).tobytes() == twin.standard_normal(9).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 6), (5, 7), (1,)])
+    def test_small_chunks_keep_the_stream(self, shape, monkeypatch):
+        """Many chunks per part, exact or with a tail: the same bits."""
+        monkeypatch.setattr(channel, "_DRAW_CHUNK", 6)
+        rng, twin = stream_rng(8, 0), stream_rng(8, 0)
+        gains = sample_gains(shape, rng)
+        re, im = twin.standard_normal(shape), twin.standard_normal(shape)
+        assert gains.tobytes() == ((re + 1j * im) / np.sqrt(2.0)).tobytes()
+        assert rng.standard_normal(5).tobytes() == twin.standard_normal(5).tobytes()
 
 
 class TestBinaryFixtures:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ris_rgsm.cli import build_parser, main
+from ris_rgsm.mapping import Codebook
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -65,6 +66,16 @@ max_bit_errors: 100000
 curves:
   - {label: n16, scheme: rgssk}
   - {label: n32, scheme: rgssk, n_elements: 32}
+"""
+
+# validates, but its 2^30 codewords would need gigabytes before a bound
+RATE_30 = """
+scheme: mux_psk
+n_elements: 64
+n_rx: 8
+n_active: 4
+mod_order: 64
+snr_db: [0]
 """
 
 
@@ -199,6 +210,26 @@ class TestTheoryCommand:
         code = main(
             ["theory", "-c", str(path), "-o", str(tmp_path / "out"),
              "--pair-ceiling", "100000"]
+        )
+        assert code == 3
+
+    def test_refusal_comes_before_the_codebook(self, tmp_path, monkeypatch, capsys):
+        """A config that validates but whose codebook alone needs gigabytes
+        (rate 30) is refused from its rate, before any codebook is built."""
+        def no_codebook(self, config):
+            raise AssertionError("codebook built before the pair ceiling was checked")
+
+        monkeypatch.setattr(Codebook, "__init__", no_codebook)
+        path = tmp_path / "rate30.yaml"
+        path.write_text(RATE_30)
+        assert main(["validate-config", "-c", str(path)]) == 0
+        assert "rate=30" in capsys.readouterr().out
+        assert main(["theory", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
+        assert "exceed the ceiling" in capsys.readouterr().err
+        manifest = tmp_path / "rate30_manifest.yaml"
+        manifest.write_text(RATE_30 + "curves:\n  - {label: r30}\n")
+        code = main(
+            ["compare", "--kind", "theory", "-c", str(manifest), "-o", str(tmp_path / "cmp")]
         )
         assert code == 3
 

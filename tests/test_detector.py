@@ -20,6 +20,7 @@ from ris_rgsm import (
     stream_rng,
     transmit,
 )
+from ris_rgsm import detector
 from ris_rgsm.channel import sample_gains
 from ris_rgsm.detector import (
     EquivalentChannel,
@@ -252,6 +253,30 @@ class TestDetectML:
         eq = EquivalentChannel(tensor=dark[..., -1], ring_tensor=dark)
         rx = ReceivedVector(samples=np.zeros(cfg.n_rx, dtype=complex), noise_var=1.0)
         assert detect_ml(rx, eq, cb).index == 0
+
+    def test_row_tiles_keep_the_first_of_equal_minima(self, monkeypatch):
+        """With two rows a tile, rows 2 and 5 (trial 0) and rows 3 and 6
+        (trial 1) score 0 for every symbol and all other rows more, so two
+        tiles hold equal minima: the earlier tile and its lowest symbol win."""
+        cfg = make_config()
+        cb = Codebook(cfg)
+        rows, symbols = cb.combinations.shape[0], cb.symbols_per_row
+        factors = cfg.n_active * cfg.ris_rings
+        # the power features alone score every symbol above zero
+        power = np.zeros(cb.metric_table.shape[0])
+        power[:factors] = 1.0
+        assert np.all(power @ cb.metric_table > 0)
+        features = np.tile(power, (2, rows, 1))
+        features[0, [2, 5]] = 0.0
+        features[1, [3, 6]] = 0.0
+        monkeypatch.setattr(detector, "_metric_features", lambda samples, equiv, cb: features)
+        monkeypatch.setattr(detector, "_TILE_BYTES", 2 * 8 * symbols * 2)
+        samples = np.zeros((2, cfg.n_rx), dtype=complex)
+        assert rows == 8 and list(ml_argmin(samples, None, cb)) == [2 * symbols, 3 * symbols]
+        # one trial alone: the same rule, a scalar index
+        monkeypatch.setattr(detector, "_metric_features", lambda samples, equiv, cb: features[1])
+        monkeypatch.setattr(detector, "_TILE_BYTES", 2 * 8 * symbols)
+        assert ml_argmin(samples[1], None, cb) == 3 * symbols
 
     def test_shared_symbol_search_builds_no_dense_tensor(self):
         """A rate-9 diversity sweep block is searched in far less memory than

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +37,12 @@ from ris_rgsm.detector import (
     ml_argmin,
     precompute_equivalent_channel,
     transmit,
+    trial_tiles,
 )
 from ris_rgsm.cli import main
 from ris_rgsm.encoder import encode
 from ris_rgsm.mapping import int_to_bits
-from ris_rgsm import simulate
+from ris_rgsm import detector, simulate
 from ris_rgsm import theory as theory_engine
 from ris_rgsm.simulate import (
     BerCurve,
@@ -50,6 +52,7 @@ from ris_rgsm.simulate import (
     _block_job,
     _snr_stream_key,
     _wave_plan,
+    default_block_size,
 )
 
 from _oracles import dense_ml_argmin
@@ -280,6 +283,86 @@ def test_sweep_block_matches_per_trial_calls(kwargs):
         assert np.array_equal(hypothesis_matrix(eq, cb), hypotheses[t])
         rx = ReceivedVector(samples=received.samples[t], noise_var=received.noise_var)
         assert detect_ml(rx, eq, cb).index == detected[t]
+
+
+# trial and row tiles, per config: one row a tile, three rows a tile (both
+# one trial a tile), and two or three trials a tile
+TILE_KINDS = ("rows-1", "rows-3", "trials-2", "trials-3")
+
+
+def shrink_tiles(monkeypatch, cb, kind, trials):
+    """Set the tile budget so that a ``trials`` block of ``cb`` runs in ``kind``
+    tiles, and check that it does."""
+    cfg = cb.config
+    per_trial = 48 * cfg.n_rx * cfg.n_elements + 8 * cb.size  # as trial_tiles counts
+    budget = {
+        "rows-1": 1,
+        "rows-3": 3 * 8 * cb.symbols_per_row,
+        "trials-2": 2 * per_trial,
+        "trials-3": 3 * per_trial,
+    }[kind]
+    monkeypatch.setattr(detector, "_TILE_BYTES", budget)
+    widest = max(len(range(trials)[tile]) for tile in trial_tiles(trials, cb))
+    assert widest == {"trials-2": 2, "trials-3": 3}.get(kind, 1)
+    rows_per_tile = budget // (8 * cb.symbols_per_row)
+    assert rows_per_tile < cb.combinations.shape[0] or kind.startswith("trials")
+
+
+@pytest.mark.parametrize("kind", TILE_KINDS)
+def test_tiles_keep_golden_blocks(monkeypatch, kind):
+    """Tiling the equivalent channel and the ML search changes no count."""
+    for kwargs, snr_db, size, expected in GOLDEN_BLOCKS:
+        cfg = golden_config(kwargs)
+        with monkeypatch.context() as patch:
+            shrink_tiles(patch, Codebook(cfg), kind, size)
+            assert [_block_counts(cfg, snr_db, b, size) for b in (0, 5)] == expected
+
+
+# the cases of test_sweep_block_matches_per_trial_calls
+PER_TRIAL_CASES = next(
+    mark.args[1]
+    for mark in test_sweep_block_matches_per_trial_calls.pytestmark
+    if mark.name == "parametrize"
+)
+
+
+@pytest.mark.parametrize("kind", TILE_KINDS)
+@pytest.mark.parametrize("kwargs", PER_TRIAL_CASES)
+def test_tiles_keep_per_trial_results(monkeypatch, kind, kwargs):
+    """Under small budgets the block, the batched search and every per-trial
+    detection still agree with each other and with the dense reference."""
+    shrink_tiles(monkeypatch, Codebook(golden_config(kwargs)), kind, 24)
+    test_sweep_block_matches_per_trial_calls(kwargs)
+
+
+def block_peak(cfg, snr_db, size):
+    """``tracemalloc`` peak of one ``_block_counts`` call, codebook built."""
+    _block_counts(cfg, snr_db, 0, size)
+    tracemalloc.start()
+    try:
+        _block_counts(cfg, snr_db, 1, size)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rate9_block_working_set():
+    """A 976-trial rate-9 block, whose whole-block channel alone is 5 MB,
+    peaks under 9 MB, where the untiled block took 12-13 MB."""
+    cfg = golden_config(dict(scheme="mux_psk", n_elements=64, n_rx=5, mod_order=8))
+    assert (cfg.rate, default_block_size(cfg)) == (9, 976)
+    assert block_peak(cfg, -19.5, 976) <= 9e6
+
+
+def test_rate15_block_working_set():
+    """A rate-15 block, whose metric grid alone is 8 MiB, peaks under the
+    tile budget plus the arrays that stay whole-block: the bits, the channel,
+    the reflection coefficients and the received samples."""
+    cfg = golden_config(dict(scheme="mux_psk", n_elements=64, n_rx=5, mod_order=64))
+    trials = default_block_size(cfg)
+    assert (cfg.rate, trials, trials * 8 * 2**cfg.rate) == (15, 32, 8 * 2**20)
+    whole = trials * (cfg.rate + 16 * (cfg.n_rx * cfg.n_elements + cfg.n_elements + cfg.n_rx))
+    assert block_peak(cfg, -10.0, trials) < detector._TILE_BYTES + whole
 
 
 class TestTheorySweep:
