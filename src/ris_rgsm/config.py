@@ -334,22 +334,8 @@ class SweepManifest:
 
 # -- config-file schema ------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "scheme",
-    "n_elements",
-    "n_rx",
-    "n_active",
-    "mod_order",
-    "ring_count",
-    "symbol_energy",
-    "snr_db",
-    "seed",
-    "trials",
-    "max_bit_errors",
-    "stagger",
-    "combination_table",
-    "diversity_constellation",
-}
+# the config file names the SNR grid ``snr_db``; every other key is a field
+_CONFIG_KEYS = {"snr_db" if f.name == "snr_grid_db" else f.name for f in fields(SystemConfig)}
 
 
 def _snr_values(values) -> list[float]:

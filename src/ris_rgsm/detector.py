@@ -95,8 +95,11 @@ class EquivalentChannel:
     one ring (``SystemConfig.ris_rings``).
     """
 
-    tensor: np.ndarray
     ring_tensor: np.ndarray
+
+    @property
+    def tensor(self) -> np.ndarray:
+        return self.ring_tensor[..., -1]
 
     def matched_response(self, combination, waves, rings) -> np.ndarray:
         """Noiseless receive vector with ring-matched partial sums."""
@@ -116,8 +119,7 @@ def precompute_equivalent_channel(
     per_ring = np.einsum(
         "...nick,...aick->...niac", grouped.reshape(chunked), align.reshape(chunked)
     )
-    ring_tensor = np.cumsum(per_ring, axis=-1)
-    return EquivalentChannel(tensor=ring_tensor[..., -1], ring_tensor=ring_tensor)
+    return EquivalentChannel(ring_tensor=np.cumsum(per_ring, axis=-1))
 
 
 def hypothesis_matrix(equiv: EquivalentChannel, codebook: Codebook) -> np.ndarray:

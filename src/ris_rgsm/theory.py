@@ -26,16 +26,20 @@ average BER is the bit-error-weighted union over ordered codeword pairs.
 
 Each block kind has one entries function, :func:`_matched_entries` for a
 matched 2x2 block and :func:`_swap_entries` for a coupled 4x4 block, giving
-its covariance upper triangle and mean; :func:`assemble_statistics` builds
-one pair's blocks from them.  The MGF factors over the blocks.  Idle
-antennas have a closed form; every other block goes through one kernel,
-:func:`_block_log_mgf`: a Cholesky factorization of ``I - 2xC`` unrolled
-over the block's entries plus a forward substitution, written as numpy
-elementwise operations over a batch of blocks of any size.  Every domain
-check (``I - 2xC`` positive definite) comes before any log.  One pair's MGF
-is the dense :func:`mgf_quadratic_form` of
+its covariance upper triangle and mean.  One pair's statistics are one dense
+mean and covariance over the ``2 * n_rx`` stacked dimensions:
+:func:`assemble_statistics` sets the idle variance on the diagonal and writes
+each block's entries into its antennas' ``[re, im]`` dimensions.  One
+pair's MGF is the dense :func:`mgf_quadratic_form` of
 :meth:`DifferenceStatistics.mean_vector` and
 :meth:`DifferenceStatistics.covariance`.
+
+The MGF factors over the blocks.  Idle antennas have a closed form; every
+other block goes through one kernel, :func:`_block_log_mgf`: a Cholesky
+factorization of ``I - 2xC`` unrolled over the block's entries plus a
+forward substitution, written as numpy elementwise operations over a batch
+of blocks of any size.  Every domain check (``I - 2xC`` positive definite)
+comes before any log.
 
 :func:`union_bound_ber` sums the bound over every supported ordered pair
 exactly, without visiting the pairs one by one:
@@ -119,11 +123,6 @@ def pair_layout(combination, combination_hat, n_rx: int) -> PairLayout:
             raise UnsupportedPairError(
                 f"antenna {antenna} changes position between {c} and {c_hat}"
             )
-    for l, antenna in enumerate(c_hat):
-        if antenna in c and c.index(antenna) != l:
-            raise UnsupportedPairError(
-                f"antenna {antenna} changes position between {c} and {c_hat}"
-            )
     correct = tuple(l for l in range(len(c)) if c[l] == c_hat[l])
     swapped = tuple(l for l in range(len(c)) if c[l] != c_hat[l])
     used = set(c) | set(c_hat)
@@ -134,70 +133,22 @@ def pair_layout(combination, combination_hat, n_rx: int) -> PairLayout:
 # -- statistics assembly -------------------------------------------------------
 
 
-def _position_weights(layout: PairLayout, s, s_hat) -> np.ndarray:
-    # exact second moment of one group's interference contribution
-    s = np.asarray(s)
-    s_hat = np.asarray(s_hat)
-    w = np.abs(s) ** 2 + np.abs(s_hat) ** 2
-    for l in layout.correct:
-        w[l] = np.abs(s[l] - s_hat[l]) ** 2
-    return w
-
-
-@dataclass(frozen=True)
-class CorrectBlock:
-    antenna: int
-    mean: np.ndarray  # (2,)
-    cov: np.ndarray  # (2, 2)
-
-
-@dataclass(frozen=True)
-class SwapBlock:
-    antenna: int
-    partner: int
-    mean: np.ndarray  # (4,) stacked [n_re, n_im, partner_re, partner_im]
-    cov: np.ndarray  # (4, 4)
-
-
 @dataclass(frozen=True, eq=False)
 class DifferenceStatistics:
-    """Blockwise mean/covariance of the stacked decision difference.
+    """Mean and covariance of the stacked decision difference.
 
-    The dense vector stacks ``[re, im]`` per antenna in antenna order, so
-    the dimension is ``2 * n_rx``.
+    The vector stacks ``[re, im]`` per antenna in antenna order, so the
+    dimension is ``2 * n_rx``.
     """
 
-    n_rx: int
-    unselected: tuple[int, ...]
-    unselected_var: float
-    correct_blocks: tuple[CorrectBlock, ...]
-    swap_blocks: tuple[SwapBlock, ...]
+    _mean: np.ndarray
+    _cov: np.ndarray
 
     def mean_vector(self) -> np.ndarray:
-        mean = np.zeros(2 * self.n_rx)
-        for blk in self.correct_blocks:
-            mean[2 * (blk.antenna - 1) : 2 * blk.antenna] = blk.mean
-        for blk in self.swap_blocks:
-            mean[2 * (blk.antenna - 1) : 2 * blk.antenna] = blk.mean[:2]
-            mean[2 * (blk.partner - 1) : 2 * blk.partner] = blk.mean[2:]
-        return mean
+        return self._mean.copy()
 
     def covariance(self) -> np.ndarray:
-        cov = np.zeros((2 * self.n_rx, 2 * self.n_rx))
-        for n in self.unselected:
-            i = 2 * (n - 1)
-            cov[i, i] = cov[i + 1, i + 1] = self.unselected_var
-        for blk in self.correct_blocks:
-            i = 2 * (blk.antenna - 1)
-            cov[i : i + 2, i : i + 2] = blk.cov
-        for blk in self.swap_blocks:
-            i = 2 * (blk.antenna - 1)
-            j = 2 * (blk.partner - 1)
-            cov[i : i + 2, i : i + 2] = blk.cov[:2, :2]
-            cov[j : j + 2, j : j + 2] = blk.cov[2:, 2:]
-            cov[i : i + 2, j : j + 2] = blk.cov[:2, 2:]
-            cov[j : j + 2, i : i + 2] = blk.cov[2:, :2]
-        return cov
+        return self._cov.copy()
 
 
 def _block_log_mgf(cov, mean, x: float):
@@ -297,16 +248,6 @@ def _swap_entries(s, s_hat, total, n_g: int):
     return cov, mean
 
 
-def _dense_block(entries):
-    """``(mean, cov)`` arrays of one block from the ``(upper, mean)``
-    entries that :func:`_matched_entries` or :func:`_swap_entries` return."""
-    upper, mean = entries
-    rows, cols = np.triu_indices(len(mean))
-    cov = np.empty((len(mean), len(mean)))
-    cov[rows, cols] = cov[cols, rows] = upper
-    return np.array(mean), cov
-
-
 def assemble_statistics(
     combination,
     symbols,
@@ -322,26 +263,25 @@ def assemble_statistics(
     layout = pair_layout(combination, combination_hat, config.n_rx)
     s = np.asarray(symbols, dtype=complex)
     s_hat = np.asarray(symbols_hat, dtype=complex)
-    c = tuple(int(a) for a in combination)
-    c_hat = tuple(int(a) for a in combination_hat)
+    c = np.asarray(combination)
+    c_hat = np.asarray(combination_hat)
     n_g = config.n_group
-    total = float(np.sum(_position_weights(layout, s, s_hat)))
-
-    correct_blocks = tuple(
-        CorrectBlock(c[l], *_dense_block(_matched_entries(s[l] - s_hat[l], total, n_g)))
-        for l in layout.correct
+    # exact second moment of each group's interference contribution
+    total = float(
+        np.where(c == c_hat, np.abs(s - s_hat) ** 2, np.abs(s) ** 2 + np.abs(s_hat) ** 2).sum()
     )
-    swap_blocks = tuple(
-        SwapBlock(c[l], c_hat[l], *_dense_block(_swap_entries(s[l], s_hat[l], total, n_g)))
-        for l in layout.swapped
-    )
-    return DifferenceStatistics(
-        n_rx=config.n_rx,
-        unselected=layout.unselected,
-        unselected_var=n_g / 2.0 * total,
-        correct_blocks=correct_blocks,
-        swap_blocks=swap_blocks,
-    )
+    mean = np.zeros(2 * config.n_rx)
+    cov = np.diag(np.full(2 * config.n_rx, n_g / 2.0 * total))  # idle antennas
+    blocks = [((c[l],), _matched_entries(s[l] - s_hat[l], total, n_g)) for l in layout.correct]
+    blocks += [
+        ((c[l], c_hat[l]), _swap_entries(s[l], s_hat[l], total, n_g)) for l in layout.swapped
+    ]
+    for antennas, (upper, block_mean) in blocks:
+        dims = np.ravel([(2 * a - 2, 2 * a - 1) for a in antennas])
+        rows, cols = np.triu_indices(dims.size)
+        mean[dims] = block_mean
+        cov[dims[rows], dims[cols]] = cov[dims[cols], dims[rows]] = upper
+    return DifferenceStatistics(mean, cov)
 
 
 # -- dense MGF reference --------------------------------------------------------

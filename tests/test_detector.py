@@ -250,7 +250,7 @@ class TestDetectML:
         cfg = make_config(**kwargs)
         cb = Codebook(cfg)
         dark = np.zeros((cfg.n_rx, cfg.n_active, cfg.n_rx, cfg.ris_rings), dtype=complex)
-        eq = EquivalentChannel(tensor=dark[..., -1], ring_tensor=dark)
+        eq = EquivalentChannel(ring_tensor=dark)
         rx = ReceivedVector(samples=np.zeros(cfg.n_rx, dtype=complex), noise_var=1.0)
         assert detect_ml(rx, eq, cb).index == 0
 

@@ -195,11 +195,11 @@ class TestAssembledStatistics:
         stats = assemble_statistics(
             src.combination, src.symbols, dst.combination, dst.symbols, cfg
         )
-        blk = next(b for b in stats.correct_blocks if b.antenna == src.combination[0])
+        dims = slice(2 * src.combination[0] - 2, 2 * src.combination[0])
         w_other = abs(src.symbols[1] - dst.symbols[1]) ** 2
         expected = cfg.n_group / 2 * w_other
-        assert np.allclose(blk.mean, 0.0)
-        assert np.allclose(blk.cov, expected * np.eye(2))
+        assert np.allclose(stats.mean_vector()[dims], 0.0)
+        assert np.allclose(stats.covariance()[dims, dims], expected * np.eye(2))
 
     def test_swap_cross_covariance_value(self):
         """Opposite unit symbols give cross-covariance group_size*pi/8*... = 4*pi."""
@@ -208,9 +208,10 @@ class TestAssembledStatistics:
         symbols = np.array([1.0 + 0j, 1.0 + 0j])
         symbols_hat = np.array([-1.0 + 0j, 1.0 + 0j])
         stats = assemble_statistics((1, 3), symbols, (2, 3), symbols_hat, cfg)
-        blk = stats.swap_blocks[0]
-        assert np.isclose(blk.cov[0, 2], 4 * np.pi)
-        assert np.isclose(blk.cov[1, 3], -4 * np.pi)
+        # antenna 1 swaps to antenna 2: dimensions 0-1 couple with 2-3
+        cov = stats.covariance()
+        assert np.isclose(cov[0, 2], 4 * np.pi)
+        assert np.isclose(cov[1, 3], -4 * np.pi)
 
     def test_swap_mean_structure(self):
         cfg = make_config()
@@ -221,13 +222,16 @@ class TestAssembledStatistics:
             src.combination, src.symbols, dst.combination, dst.symbols, cfg
         )
         scale = cfg.n_group * math.sqrt(math.pi) / 2
-        for blk in stats.swap_blocks:
-            l = src.combination.index(blk.antenna)
+        mean = stats.mean_vector()
+        swapped = pair_layout(src.combination, dst.combination, cfg.n_rx).swapped
+        assert swapped
+        for l in swapped:
+            n, m = src.combination[l], dst.combination[l]
             expected = scale * np.array(
                 [src.symbols[l].real, src.symbols[l].imag,
                  -dst.symbols[l].real, -dst.symbols[l].imag]
             )
-            assert np.allclose(blk.mean, expected)
+            assert np.allclose(mean[[2 * n - 2, 2 * n - 1, 2 * m - 2, 2 * m - 1]], expected)
 
     @pytest.mark.parametrize(
         "src_key,dst_key",
@@ -249,8 +253,13 @@ class TestAssembledStatistics:
         )
         mean_mc, cov_mc = mc_difference_stats(cfg, src, dst, draws=100_000, seed=41)
         assert np.max(np.abs(stats.mean_vector() - mean_mc)) < 0.03 * cfg.n_group
-        diag_a, diag_mc = np.diag(stats.covariance()), np.diag(cov_mc)
+        cov = stats.covariance()
+        diag_a, diag_mc = np.diag(cov), np.diag(cov_mc)
         assert np.max(np.abs(diag_a - diag_mc) / diag_mc) < 0.03
+        # every off-diagonal entry, so that a block written to the wrong
+        # antenna's dimensions fails
+        off = ~np.eye(cov.shape[0], dtype=bool)
+        assert np.max(np.abs(cov - cov_mc)[off]) < 0.03 * np.max(diag_mc)
 
     def test_covariance_psd_and_symmetric_over_codebook(self, codebook):
         """Every supported ordered row pair yields symmetric PSD blocks."""
@@ -387,17 +396,18 @@ class TestBlockKernel:
         stats = assemble_statistics(
             (1, 3), cb.codeword(0).symbols, (2, 4), cb.codeword(3).symbols, cfg
         )
-        lam = max(np.linalg.eigvalsh(blk.cov)[-1] for blk in stats.swap_blocks)
+        lam = np.linalg.eigvalsh(stats.covariance())[-1]
         noise_var = -lam / 0.75  # the scale-1 argument -1/noise_var is 0.75 / lam
         with pytest.raises(MgfDomainError):
             _bound_sums(_slot_batch(cb, [()]), noise_var)
         with pytest.raises(MgfDomainError):
             mgf_quadratic_form(stats.mean_vector(), stats.covariance(), 0.75 / lam)
         # a definite first block does not hide an indefinite second one
-        blk = stats.swap_blocks[0]
-        upper = [np.array([1e-3 * v, v]) for v in blk.cov[np.triu_indices(4)]]
+        # antennas 1 and 2 (dimensions 0-3) form the first swap block
+        block = stats.covariance()[:4, :4]
+        upper = [np.array([1e-3 * v, v]) for v in block[np.triu_indices(4)]]
         with pytest.raises(MgfDomainError):
-            _block_log_mgf(upper, list(blk.mean), 0.75 / lam)
+            _block_log_mgf(upper, list(stats.mean_vector()[:4]), 0.75 / lam)
 
 
 class TestPairwiseBound:
