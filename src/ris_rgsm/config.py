@@ -50,12 +50,6 @@ def _plain_int(value):
     return int(value) if _is_integer(value) else value
 
 
-_INTEGER_FIELDS = (
-    "n_elements", "n_rx", "n_active", "mod_order", "ring_count",
-    "seed", "trials", "max_bit_errors",
-)
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Full parameterization of one scheme instance.
@@ -333,6 +327,9 @@ class SweepManifest:
 
 
 # -- config-file schema ------------------------------------------------------
+
+# fields that validate insists are integers, read from their annotations
+_INTEGER_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "int")
 
 # the config file names the SNR grid ``snr_db``; every other key is a field
 _CONFIG_KEYS = {"snr_db" if f.name == "snr_grid_db" else f.name for f in fields(SystemConfig)}

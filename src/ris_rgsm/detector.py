@@ -7,11 +7,12 @@ realization.  The ML search scores the codebook without an
 ``(n_rx, codebook)`` hypothesis tensor: every codeword responds with a sum
 of label factors (one per group for MUX, the row's summed group response
 for diversity and RGSSK), so its metric is a few real features of the
-trial and combination row times a per-symbol coefficient table that the
-codebook builds once.  One matmul scores every codeword of a tile of
-trials (:func:`trial_tiles`), or of a tile of rows when one trial's grid
-exceeds the tile budget.  :func:`hypothesis_matrix` is the dense reference model of the same
-responses.
+trial and combination row times a per-symbol coefficient table.  Both
+layouts come from one search plan (:func:`_search_plan`), built at a
+codebook's first search and kept on it.  One matmul scores every codeword
+of a tile of trials (:func:`trial_tiles`), or of a tile of rows when one
+trial's grid exceeds the tile budget.  :func:`hypothesis_matrix` is the
+dense reference model of the same responses.
 
 Stagger rotations live in the codebook's equivalent symbols, never in the
 tensor, so the steered entries are real and positive and no rotation is
@@ -140,43 +141,73 @@ def hypothesis_matrix(equiv: EquivalentChannel, codebook: Codebook) -> np.ndarra
     return predicted
 
 
-def _feature_index(codebook: Codebook):
-    """``(combos, slots, pairs)`` index arrays of :func:`_metric_features`.
+class _SearchPlan(NamedTuple):
+    """Feature layout and coefficients of one codebook's ML search."""
 
-    ``combos`` holds the 0-based combination rows and ``slots`` each row's
-    columns; ``pairs`` holds ``(i, j, at)`` per group pair, ``at`` each
-    row's entries of the pair's flattened Gram matrix.  Built at the first
-    search and kept on the codebook, so codebooks that only serve the
-    theory never build them.
+    table: np.ndarray  # (F, symbols_per_row) per-symbol coefficients
+    combos: np.ndarray  # (rows, n_active) 0-based combination rows
+    slots: np.ndarray  # (rows, factors * span) each row's columns
+    pairs: list  # (i, j, at) per factor pair, at each row's Gram entries
+
+
+def _search_plan(codebook: Codebook) -> _SearchPlan:
+    """The ML search's per-row feature layout and per-symbol table.
+
+    A MUX codeword responds with one label factor per group, the group's
+    wave ``w_l`` times its steered response ``g_l`` in ring ``rho_l``;
+    diversity and RGSSK with one factor, the shared wave times the row's
+    summed group response.  With ``span`` rings per factor, the features of
+    a trial and row are, for every factor ``l`` and ring ``rho`` (slot
+    ``l * span + rho``), ``||g_l[rho]||^2 / 2``, then the complex products
+    ``<y, g_l[rho]>`` and, per pair of factors ``l < l'`` and rings,
+    ``<g_l[rho], g_l'[rho']>``, as real then imaginary parts.  A symbol's
+    column of ``table`` holds ``|w_l|^2`` and ``Re``/``-Im`` of ``-w_l`` and
+    ``conj(w_l) w_l'`` in its own ring slots and zeros elsewhere, so
+    features times table is half the metric minus ``||y||^2 / 2``.
+
+    ``slots`` holds each row's columns of the steered responses of
+    :func:`_metric_features` and ``pairs`` holds ``(i, j, at)`` per factor
+    pair, ``at`` each row's entries of the pair's flattened Gram matrix.
+    Built at the first search and kept on the codebook, so codebooks that
+    only serve the theory never build it.
     """
-    index = getattr(codebook, "_feature_index", None)
-    if index is None:
-        cfg = codebook.config
-        combos = codebook.combinations - 1
-        rows, n_active = combos.shape
-        n_rx, rings = cfg.n_rx, cfg.ris_rings
-        ring, pairs = np.arange(rings), []
-        if cfg.scheme.is_mux:
-            # column (l * n_rx + a) * rings + rho: group l toward antenna a, ring rho
-            slots = ((np.arange(n_active) * n_rx + combos)[..., None] * rings + ring).reshape(rows, -1)
-            span = n_rx * rings
-            for i, j in itertools.combinations(range(n_active), 2):
-                # row r pairs ring rho of group i's target with ring rho' of group j's
-                at = (combos[:, i, None, None] * rings + ring[:, None]) * span
-                at = at + combos[:, j, None, None] * rings + ring
-                pairs.append((i, j, at.reshape(rows, -1)))
-        else:
-            slots = np.arange(rows)[:, None]
-        index = combos, slots, pairs
-        codebook._feature_index = index
-    return index
+    plan = getattr(codebook, "_search_plan", None)
+    if plan is not None:
+        return plan
+    cfg = codebook.config
+    factors, span = (cfg.n_active if cfg.scheme.is_mux else 1), cfg.ris_rings
+    waves, rings = codebook.group_waves[:, :factors], codebook.group_rings[:, :factors]
+    count, pairs = codebook.symbols_per_row, list(itertools.combinations(range(factors), 2))
+    symbol, own = np.arange(count)[:, None], np.arange(factors) * span + rings
+    power = np.zeros((factors * span, count))
+    power[own, symbol] = np.abs(waves) ** 2
+    coef = np.zeros((factors * span + len(pairs) * span**2, count), complex)
+    coef[own, symbol] = -waves
+    for p, (i, j) in enumerate(pairs):
+        at = factors * span + p * span**2 + rings[:, i] * span + rings[:, j]
+        coef[at, symbol[:, 0]] = np.conj(waves[:, i]) * waves[:, j]
+    table = np.concatenate([power, coef.real, -coef.imag])
+    combos = codebook.combinations - 1
+    rows, ring, width = combos.shape[0], np.arange(span), cfg.n_rx * span
+    if cfg.scheme.is_mux:
+        # column (l * n_rx + a) * span + rho: group l toward antenna a, ring rho
+        slots = ((np.arange(factors) * cfg.n_rx + combos)[..., None] * span + ring).reshape(rows, -1)
+    else:
+        slots = np.arange(rows)[:, None]
+    gram = []
+    for i, j in pairs:
+        # row r pairs ring rho of group i's target with ring rho' of group j's
+        at = (combos[:, i, None, None] * span + ring[:, None]) * width
+        gram.append((i, j, (at + combos[:, j, None, None] * span + ring).reshape(rows, -1)))
+    plan = codebook._search_plan = _SearchPlan(table, combos, slots, gram)
+    return plan
 
 
 def _metric_features(
     samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook
 ) -> np.ndarray:
     """Real ``(..., rows, F)`` features of every trial and combination row,
-    in the row layout of :attr:`Codebook.metric_table`.
+    in the layout of :func:`_search_plan`.
 
     A factor's steered responses are columns of one ``(..., n_rx, columns)``
     array: every (group, target antenna, ring) of ``ring_tensor`` for MUX,
@@ -185,7 +216,7 @@ def _metric_features(
     products of a group pair once per pair of their columns; each row then
     gathers the entries of its own columns.
     """
-    combos, slots, pairs = _feature_index(codebook)
+    _, combos, slots, pairs = _search_plan(codebook)
     ring_tensor = equiv.ring_tensor
     if codebook.config.scheme.is_mux:
         columns = ring_tensor.reshape(*ring_tensor.shape[:-3], -1)
@@ -198,10 +229,10 @@ def _metric_features(
     norms = norms[..., ::2] + norms[..., 1::2]
     inner = (np.conj(samples)[..., None, :] @ columns)[..., 0, :]
     products = [np.take(inner, slots, axis=-1)]
-    span = ring_tensor.shape[-4] * ring_tensor.shape[-1]
+    width = ring_tensor.shape[-4] * ring_tensor.shape[-1]  # columns of one group
     for i, j, at in pairs:
-        left = np.conj(columns[..., i * span : (i + 1) * span])
-        gram = np.swapaxes(left, -1, -2) @ columns[..., j * span : (j + 1) * span]
+        left = np.conj(columns[..., i * width : (i + 1) * width])
+        gram = np.swapaxes(left, -1, -2) @ columns[..., j * width : (j + 1) * width]
         products.append(np.take(gram.reshape(*gram.shape[:-2], -1), at, axis=-1))
     products = np.concatenate(products, axis=-1)
     return np.concatenate(
@@ -237,21 +268,20 @@ def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook)
 
     is linear in a few real features of each trial and row (see
     :func:`_metric_features`) with coefficients that depend on the symbol
-    alone (:attr:`Codebook.metric_table`).  Half the metric, whose argmin is
-    the same, is one matmul onto a ``(..., rows, symbols)`` grid whose flat
+    alone (:func:`_search_plan`).  Half the metric, whose argmin is the
+    same, is one matmul onto a ``(..., rows, symbols)`` grid whose flat
     index is the codeword index, so ties break toward the lowest index.
-    When that grid exceeds ``_TILE_BYTES``, the rows are scored in tiles
-    under it and a tile's minimum replaces the running one only when it is
-    strictly smaller, which keeps the lowest-index tie rule.
-    ``samples`` is ``(..., n_rx)`` with the leading axes of ``equiv``.
+    The rows are scored in tiles whose grid fits in ``_TILE_BYTES`` (one
+    tile when the whole grid does), and a tile's minimum replaces the
+    running one only when it is strictly smaller, which keeps the
+    lowest-index tie rule.  ``samples`` is ``(..., n_rx)`` with the leading
+    axes of ``equiv``.
     """
     features = _metric_features(samples, equiv, codebook)
-    table = codebook.metric_table
+    table = _search_plan(codebook).table
     lead = np.shape(samples)[:-1]
     rows, symbols = features.shape[-2], table.shape[1]
     step = max(1, _TILE_BYTES // (8 * symbols * math.prod(lead)))
-    if step >= rows:
-        return np.argmin((features @ table).reshape(*lead, -1), axis=-1)
     best, index = np.full(lead, np.inf), np.zeros(lead, dtype=np.intp)
     for start in range(0, rows, step):
         metric = (features[..., start : start + step, :] @ table).reshape(*lead, -1)

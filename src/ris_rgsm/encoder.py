@@ -51,14 +51,17 @@ def encode(codeword: Codeword, channel: ChannelMatrix, config: SystemConfig) -> 
             raise EncodeError(
                 f"active counts {active} not multiples of {allowed} within group"
             )
-    # unit phasors cancelling the channel phase toward each group's antenna
+    # unit phasors cancelling the channel phase toward each group's antenna,
+    # rotated and masked in the gathered copy of the channel
     rows = np.asarray(codeword.combination) - 1
     grouped = channel.group_view(config.n_active)
     toward = np.take_along_axis(grouped, rows[..., None, :, None], axis=-3)[..., 0, :, :]
-    steer = np.conj(toward) / np.abs(toward)
-    rotation = np.exp(1j * np.asarray(codeword.phases))[..., None]
-    mask = np.arange(config.n_group) < active[..., None]
-    coefficients = steer * rotation * mask
+    coefficients = toward.astype(complex, copy=False)  # a copy only for real gains
+    magnitude = np.abs(coefficients)
+    np.conj(coefficients, out=coefficients)
+    coefficients /= magnitude
+    coefficients *= np.exp(1j * np.asarray(codeword.phases))[..., None]
+    coefficients *= np.arange(config.n_group) < active[..., None]
     return ReflectionVector(
         coefficients=coefficients.reshape(*coefficients.shape[:-2], -1),
         phases=np.array(codeword.phases),

@@ -4,7 +4,8 @@ The codebook enumerates every transmit hypothesis as a (combination row,
 symbol index) pair.  Symbol indices factor out of the spatial part, so a
 codeword index is always ``row * symbols_per_row + symbol_index`` and its
 bit label is the index in natural binary: the spatial bits, then the
-per-group (or shared) symbol bits.
+per-group (or shared) symbol bits.  The ML search's coefficient table is
+built from the codebook by the detector (``detector._search_plan``).
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ class Codebook:
     carriers : (symbols_per_row,) complex
         Carrier symbol sent by the transmit antenna (non-unit only for the
         diversity scheme).
-    metric_table : (F, symbols_per_row) float array
-        Per-symbol coefficients of the ML metric's per-row features.
+    group_waves, group_rings : (symbols_per_row, n_active) arrays
+        Wave and 0-based ON ring of every group, as the ML search sees them.
     """
 
     def __init__(self, config: SystemConfig):
@@ -243,37 +244,6 @@ class Codebook:
         # physically matched receiver (amplitude comes from the ON count)
         self.group_waves = amp * np.exp(1j * phases) * carriers[:, None]
         self.group_rings = active // (n_g // cfg.ris_rings) - 1
-        self.metric_table = self._metric_table()
-
-    def _metric_table(self) -> np.ndarray:
-        """Real ``(F, symbols_per_row)`` coefficients of the ML metric.
-
-        A MUX codeword responds with one label factor per group, the group's
-        wave ``w_l`` times its steered response ``g_l`` in ring ``rho_l``;
-        diversity and RGSSK with one factor, the shared wave times the row's
-        summed group response.  Per trial and row the detector's features
-        are, for every factor ``l`` and ring ``rho``, ``||g_l[rho]||^2 / 2``,
-        then the complex products ``<y, g_l[rho]>`` and, per pair of factors
-        ``l < l'`` and rings, ``<g_l[rho], g_l'[rho']>``, as real then
-        imaginary parts.  A symbol's column holds ``|w_l|^2`` and
-        ``Re``/``-Im`` of ``-w_l`` and ``conj(w_l) w_l'`` in its own ring
-        slots and zeros elsewhere, so features times table is half the
-        metric minus ``||y||^2 / 2``.
-        """
-        cfg = self.config
-        factors = cfg.n_active if cfg.scheme.is_mux else 1
-        waves, rings = self.group_waves[:, :factors], self.group_rings[:, :factors]
-        span, symbol = cfg.ris_rings, np.arange(self.symbols_per_row)[:, None]
-        slots = np.arange(factors) * span + rings
-        pairs = list(itertools.combinations(range(factors), 2))
-        power = np.zeros((factors * span, self.symbols_per_row))
-        power[slots, symbol] = np.abs(waves) ** 2
-        coef = np.zeros((factors * span + len(pairs) * span**2, self.symbols_per_row), complex)
-        coef[slots, symbol] = -waves
-        for p, (i, j) in enumerate(pairs):
-            at = factors * span + p * span**2 + rings[:, i] * span + rings[:, j]
-            coef[at, symbol[:, 0]] = np.conj(waves[:, i]) * waves[:, j]
-        return np.concatenate([power, coef.real, -coef.imag])
 
     # public surface
 

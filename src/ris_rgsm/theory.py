@@ -399,26 +399,27 @@ def _label_factors(codebook: Codebook) -> list[tuple[tuple[int, ...], np.ndarray
     """Independent factors of a row's symbol label.
 
     Each factor is ``(positions, symbols)``: the positions it drives and
-    their ``(M, len(positions))`` symbols by factor label.  A MUX label
-    concatenates one label per group (:attr:`Codebook.label_symbols`), so
-    each group is a factor; diversity and RGSSK rows send one shared symbol,
-    a single factor over all positions.
+    their ``(M,)`` symbol by factor label, one symbol for all of them.  A
+    MUX label concatenates one label per group
+    (:attr:`Codebook.label_symbols`), so each group is a factor; diversity
+    and RGSSK rows send one shared symbol on every group, a single factor
+    over all positions.
     """
     cfg = codebook.config
     symbols = codebook.group_symbols
     if not cfg.scheme.is_mux:
-        return [(tuple(range(cfg.n_active)), symbols)]
+        return [(tuple(range(cfg.n_active)), symbols[:, 0])]
     per_group = symbols[codebook.label_symbols, np.arange(cfg.n_active)]
-    return [((l,), per_group[:, l : l + 1]) for l in range(cfg.n_active)]
+    return [((l,), per_group[:, l]) for l in range(cfg.n_active)]
 
 
 class _FactorKeys(NamedTuple):
     """Distinct rotation-invariant keys of one factor's label pairs."""
 
-    keys: np.ndarray  # (columns, K) quantized keys of each group
+    keys: np.ndarray  # (rows, K) quantized keys of each group
     first: np.ndarray  # (K,) first label pair of each group
-    s: np.ndarray  # (K, len(positions)) true symbols of that pair
-    s_hat: np.ndarray  # (K, len(positions)) its wrong symbols
+    s: np.ndarray  # (K,) true symbol of that pair
+    s_hat: np.ndarray  # (K,) its wrong symbol
     count: np.ndarray  # (K,) label pairs with the key
     hamming: np.ndarray  # (K,) summed label Hamming distance of those pairs
 
@@ -439,33 +440,18 @@ def _groups(keys: np.ndarray, *ties):
     return group, order[first]
 
 
-def _fine_keys(symbols: np.ndarray):
-    """Group a factor's ``(M, M)`` label pairs by ``|s - s_hat|**2``,
-    ``|s|**2`` and ``|s_hat|**2`` at every position.
-
-    Returns the keys and, per position, the rows of those three keys in
-    ``keys`` (positions sharing one symbol share rows).  Every layout's
-    coarser keys are functions of these (:func:`_coarse_keys`).
-    """
-    m = symbols.shape[0]
-    s = np.repeat(symbols, m, axis=0)
-    s_hat = np.tile(symbols, (m, 1))
+def _fine_keys(symbols: np.ndarray) -> _FactorKeys:
+    """Group a factor's ``(M, M)`` label pairs by the key rows
+    ``[|s - s_hat|**2, |s|**2, |s_hat|**2]``, quantized on one grid.  Every
+    layout's coarser keys are functions of these (:func:`_coarse_keys`)."""
+    m = symbols.size
+    s, s_hat = np.repeat(symbols, m), np.tile(symbols, m)
     labels = np.arange(m)
     hamming = _popcount(np.repeat(labels, m) ^ np.tile(labels, m))
-    columns: list[np.ndarray] = []
-    rows = []
-    for sp, tp in zip(s.T, s_hat.T):
-        at = []
-        for column in (np.abs(sp - tp) ** 2, np.abs(sp) ** 2, np.abs(tp) ** 2):
-            same = (i for i, k in enumerate(columns) if np.array_equal(column, k))
-            at.append(next(same, len(columns)))
-            if at[-1] == len(columns):
-                columns.append(column)
-        rows.append(tuple(at))
-    keys = np.stack(columns)
+    keys = np.stack([np.abs(s - s_hat) ** 2, np.abs(s) ** 2, np.abs(s_hat) ** 2])
     keys = np.round(keys / (_KEY_RESOLUTION * max(float(keys.max()), 1e-300)))
     group, first = _groups(keys)
-    fine = _FactorKeys(
+    return _FactorKeys(
         keys=keys[:, first],
         first=first,
         s=s[first],
@@ -473,10 +459,9 @@ def _fine_keys(symbols: np.ndarray):
         count=np.bincount(group),
         hamming=np.bincount(group, weights=hamming),
     )
-    return fine, rows
 
 
-def _coarse_keys(fine: _FactorKeys, rows, matched) -> _FactorKeys:
+def _coarse_keys(fine: _FactorKeys, matched) -> _FactorKeys:
     """Regroup a factor's fine keys to its blocks' keys in a layout that
     matches the factor's positions where ``matched`` is true.
 
@@ -486,9 +471,7 @@ def _coarse_keys(fine: _FactorKeys, rows, matched) -> _FactorKeys:
     unchanged.  Pairs with equal keys at every position share one MGF; the
     first label pair of each coarse group represents it.
     """
-    used: list[int] = []
-    for at, is_matched in zip(rows, matched):
-        used += [r for r in (at[:1] if is_matched else at[1:]) if r not in used]
+    used = list(dict.fromkeys(r for flag in matched for r in ((0,) if flag else (1, 2))))
     group, first = _groups(fine.keys[used], fine.first)
     return _FactorKeys(
         keys=fine.keys[used][:, first],
@@ -529,33 +512,33 @@ def _slot_batch(codebook: Codebook, layouts) -> _SlotBatch:
     and one coarse table per pattern of matched positions.
     """
     cfg = codebook.config
-    factors = [(positions, *_fine_keys(symbols)) for positions, symbols in _label_factors(codebook)]
+    factors = [(positions, _fine_keys(symbols)) for positions, symbols in _label_factors(codebook)]
     coarse: dict[tuple, _FactorKeys] = {}
     totals, counts, hammings, idle, ends = [], [], [], [], []  # per layout
     matched, swapped = [], []  # per layout and position: (block index, arguments, total)
     for correct in layouts:
         keys = []
-        for f, (positions, fine, rows) in enumerate(factors):
+        for f, (positions, fine) in enumerate(factors):
             flags = tuple(l in correct for l in positions)
             if (f, flags) not in coarse:
-                coarse[f, flags] = _coarse_keys(fine, rows, flags)
+                coarse[f, flags] = _coarse_keys(fine, flags)
             keys.append(coarse[f, flags])
         shape = [key.count.size for key in keys]
         slots = np.unravel_index(np.arange(math.prod(shape)), shape)
         total, count, hamming = 0.0, 1.0, 0.0
         blocks = [None] * cfg.n_active  # symbol arguments of each position's blocks
-        for (positions, _, _), key, i in zip(factors, keys, slots):
+        for (positions, _), key, i in zip(factors, keys, slots):
             n, h = key.count[i], key.hamming[i]
             hamming = hamming * n + h * count
             count = count * n
-            for p, l in enumerate(positions):
+            for l in positions:
                 if l in correct:
                     # rotated by its own phase, the difference s - s_hat is real
-                    delta = np.abs(key.s[i, p] - key.s_hat[i, p])
+                    delta = np.abs(key.s[i] - key.s_hat[i])
                     total = total + delta**2
                     blocks[l] = (delta,)
                 else:
-                    mod, mod_hat = np.abs(key.s[i, p]), np.abs(key.s_hat[i, p])
+                    mod, mod_hat = np.abs(key.s[i]), np.abs(key.s_hat[i])
                     total = total + mod**2 + mod_hat**2
                     blocks[l] = (mod, mod_hat)
         offset = ends[-1] if ends else 0

@@ -26,6 +26,7 @@ from ris_rgsm.detector import (
     EquivalentChannel,
     ReceivedVector,
     _metric_features,
+    _search_plan,
     hypothesis_matrix,
     ml_argmin,
 )
@@ -263,9 +264,10 @@ class TestDetectML:
         rows, symbols = cb.combinations.shape[0], cb.symbols_per_row
         factors = cfg.n_active * cfg.ris_rings
         # the power features alone score every symbol above zero
-        power = np.zeros(cb.metric_table.shape[0])
+        table = _search_plan(cb).table
+        power = np.zeros(table.shape[0])
         power[:factors] = 1.0
-        assert np.all(power @ cb.metric_table > 0)
+        assert np.all(power @ table > 0)
         features = np.tile(power, (2, rows, 1))
         features[0, [2, 5]] = 0.0
         features[1, [3, 6]] = 0.0
@@ -392,7 +394,7 @@ def test_factored_argmin_matches_dense_reference(cfg, trials, snr_db):
 )
 @settings(max_examples=60, deadline=None)
 def test_feature_table_gives_the_metric(cfg, trials, snr_db):
-    """Features times the codebook's table is ``(||y - p||^2 - ||y||^2) / 2``
+    """Features times the search plan's table is ``(||y - p||^2 - ||y||^2) / 2``
     of every hypothesis ``p`` of the dense model, for a batch of trials or
     one unbatched trial (``trials == 0``)."""
     cb = Codebook(cfg)
@@ -405,7 +407,7 @@ def test_feature_table_gives_the_metric(cfg, trials, snr_db):
         encode(codewords, channel, cfg), channel, snr_db, rng,
         carrier=codewords.carrier, symbol_energy=cfg.symbol_energy,
     ).samples
-    metric = _metric_features(samples, equiv, cb) @ cb.metric_table
+    metric = _metric_features(samples, equiv, cb) @ _search_plan(cb).table
     hypotheses = hypothesis_matrix(equiv, cb)
     y = samples[..., None, None]
     power = np.sum(np.abs(y) ** 2, axis=-3)

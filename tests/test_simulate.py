@@ -177,16 +177,17 @@ class TestSweepEngine:
         assert len(codebooks) == 1
 
     def test_sweep_builds_one_metric_table(self, monkeypatch):
-        """The blocks of every point of a sweep score with one symbol table."""
+        """The blocks of every point of a sweep score with one search plan,
+        whose metric table is built once."""
         simulate._cached_codebook.cache_clear()
-        tables = counting(monkeypatch, Codebook, "_metric_table")
+        plans = counting(monkeypatch, detector, "_SearchPlan")
         cfg = small_config(
             scheme="mux_apsk", mod_order=8, ring_count=2, n_rx=5, combination_table=None,
             snr_grid_db=(-10.0, -4.0), trials=256,
         )
         curve = run_simulation(cfg, block_size=64)
         assert [p.trials for p in curve.points] == [256, 256]
-        assert len(tables) == 1
+        assert len(plans) == 1
 
 
 # One small config per scheme, constellation, rate 13 and n_active = 3, with
@@ -420,12 +421,15 @@ class TestNoiseFreeWork:
         simulate._cached_codebook.cache_clear()
 
     def test_one_build_per_sweep(self, monkeypatch):
+        """A theory sweep builds its noise-free work once and no ML search plan."""
         signatures = counting(monkeypatch, theory_engine, "_row_pair_signatures")
         batches = counting(monkeypatch, theory_engine, "_slot_batch")
+        plans = counting(monkeypatch, detector, "_SearchPlan")
         grid = tuple(float(s) for s in range(-26, -11))
         curve = run_theory(small_config(n_elements=64, snr_grid_db=grid))
         assert len(curve.points) == 15
         assert len(signatures) == len(batches) == 1
+        assert plans == []
 
     def test_one_build_per_curve_of_a_manifest(self, monkeypatch, tmp_path):
         """A whole-grid compare builds one codebook and one batch per curve."""

@@ -30,6 +30,7 @@ from ris_rgsm.theory import (
     DEFAULT_PAIR_CEILING,
     _block_log_mgf,
     _bound_sums,
+    _label_factors,
     _popcount,
     _row_pair_signatures,
     _slot_batch,
@@ -467,6 +468,21 @@ LAYOUT_CODEBOOKS = {
     "psk16": dict(scheme="mux_psk", mod_order=16, ring_count=1),
     "apsk16": dict(mod_order=16),
     "n3-apsk": dict(mod_order=4, n_rx=6, n_active=3, n_elements=48),
+    # one shared symbol over three positions, in mixed layouts
+    "n3-diversity": dict(
+        scheme="diversity", mod_order=8, ring_count=2, diversity_constellation="apsk",
+        n_rx=6, n_active=3, n_elements=48,
+    ),
+    "n3-rgssk": dict(
+        scheme="rgssk", mod_order=1, ring_count=1, n_rx=7, n_active=3, n_elements=48
+    ),
+}
+
+# every test codebook whose groups all send one shared symbol
+SHARED_SYMBOL_CODEBOOKS = {
+    name: overrides
+    for name, overrides in {**SMALL_CODEBOOKS, **LAYOUT_CODEBOOKS}.items()
+    if overrides.get("scheme") in ("diversity", "rgssk")
 }
 
 
@@ -500,6 +516,17 @@ class TestUnionBound:
             n0 = noise_variance(snr)
             got = union_bound_ber(cb, n0).value
             assert got == pytest.approx(layout_union_bound(cb, n0), rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(SHARED_SYMBOL_CODEBOOKS))
+    def test_shared_symbol_is_one_label_factor(self, name):
+        """Diversity and RGSSK send one symbol on all groups, so the bound
+        keys their label as one factor with one symbol per label."""
+        cb = Codebook(make_config(**SHARED_SYMBOL_CODEBOOKS[name]))
+        n_active = cb.config.n_active
+        assert np.array_equal(cb.group_symbols, np.tile(cb.group_symbols[:, :1], n_active))
+        [(positions, symbols)] = _label_factors(cb)
+        assert positions == tuple(range(n_active))
+        assert np.array_equal(symbols, cb.group_symbols[:, 0])
 
     def test_matches_layout_reference_at_rate_13(self):
         cb = Codebook(make_config(mod_order=32))
