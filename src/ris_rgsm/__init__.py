@@ -17,7 +17,7 @@ from .config import (
     load_config,
     load_manifest,
 )
-from .channel import ChannelMatrix, element_index, sample_channel, stream_rng
+from .channel import ChannelMatrix, sample_channel, stream_rng
 from .mapping import Codebook, Codeword, build_combination_table
 from .encoder import EncodeError, ReflectionVector, encode
 from .detector import (
@@ -84,7 +84,6 @@ __all__ = [
     "compare",
     "count_bit_errors",
     "detect_ml",
-    "element_index",
     "encode",
     "load_config",
     "load_manifest",

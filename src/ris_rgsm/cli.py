@@ -1,7 +1,7 @@
 """Command-line driver: simulate, theory, compare, validate-config.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when the union bound
-is refused above the pair ceiling.
+is refused above the pair ceiling (``theory.PAIR_CEILING``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .simulate import (
     write_plot_data,
     write_summary_json,
 )
-from .theory import DEFAULT_PAIR_CEILING, EnumerationRefusedError
+from .theory import EnumerationRefusedError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,15 +57,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_theory_opts(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--pair-ceiling",
-        type=_int_at_least(1),
-        default=DEFAULT_PAIR_CEILING,
-        help="refuse the union bound above this many ordered codeword pairs",
-    )
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process (parsing does not change it)."""
@@ -78,25 +69,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo BER sweep")
     _add_common(p_sim)
-    p_sim.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    p_sim.add_argument(
+        "--workers", type=_int_at_least(1), default=1, help="parallel trial workers"
+    )
     p_sim.add_argument("--label", default="", help="curve label")
     p_sim.add_argument(
         "--with-theory", action="store_true", help="attach the union bound to each point"
     )
-    _add_theory_opts(p_sim)
 
     p_theory = sub.add_parser("theory", help="union-bound sweep")
     _add_common(p_theory)
     p_theory.add_argument("--label", default="", help="curve label")
-    _add_theory_opts(p_theory)
 
     p_cmp = sub.add_parser("compare", help="run a manifest of labeled curves")
     _add_common(p_cmp)
-    p_cmp.add_argument("--workers", type=int, default=1)
+    p_cmp.add_argument("--workers", type=_int_at_least(1), default=1)
     p_cmp.add_argument("--kind", choices=["sim", "theory", "both"], default="both")
     p_cmp.add_argument("--mode", choices=["equal-rate", "free"], default="equal-rate")
     p_cmp.add_argument("--target-ber", type=float, default=1e-3)
-    _add_theory_opts(p_cmp)
 
     p_val = sub.add_parser(
         "validate-config", help="check a config or manifest and print one summary line per curve"
@@ -116,9 +106,9 @@ def _load(args, loader):
     if args.seed is None:
         return loaded
     if hasattr(loaded, "with_overrides"):
-        return loaded.with_overrides(seed=args.seed)
+        return loaded.with_overrides(seed=args.seed).validate()
     entries = tuple(
-        (label, cfg.with_overrides(seed=args.seed)) for label, cfg in loaded.entries
+        (label, cfg.with_overrides(seed=args.seed).validate()) for label, cfg in loaded.entries
     )
     return type(loaded)(entries=entries)
 
@@ -127,7 +117,7 @@ def _cmd_simulate(args) -> int:
     config = _load(args, load_config)
     curve = run_simulation(config, workers=args.workers, label=args.label)
     if args.with_theory:
-        theory = run_theory(config, pair_ceiling=args.pair_ceiling, label=args.label)
+        theory = run_theory(config, label=args.label)
         curve = merge_theory(curve, theory)
     out = _outdir(args)
     name = curve.label or "curve"
@@ -139,7 +129,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory(args) -> int:
     config = _load(args, load_config)
-    curve = run_theory(config, pair_ceiling=args.pair_ceiling, label=args.label)
+    curve = run_theory(config, label=args.label)
     out = _outdir(args)
     name = (curve.label or "curve") + "_theory"
     write_curve_csv(curve, out / f"{name}.csv")
@@ -156,7 +146,6 @@ def _cmd_compare(args) -> int:
         kind=args.kind,
         target_ber=args.target_ber,
         workers=args.workers,
-        pair_ceiling=args.pair_ceiling,
     )
     out = _outdir(args)
     for curve in result.curves:

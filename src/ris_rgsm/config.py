@@ -76,7 +76,7 @@ class SystemConfig:
     snr_grid_db : tuple of float
         SNR points (symbol energy over per-antenna noise variance, in dB).
     seed : int
-        Root seed for all deterministic random streams.
+        Root seed for all deterministic random streams (non-negative).
     trials, max_bit_errors : int
         Monte Carlo stopping controls: a sweep point stops at whichever
         comes first.
@@ -154,10 +154,6 @@ class SystemConfig:
         return self.mod_order // self.ring_count
 
     @property
-    def phase_bits(self) -> int:
-        return self.phase_order.bit_length() - 1
-
-    @property
     def ring_bits(self) -> int:
         return self.ring_count.bit_length() - 1
 
@@ -195,6 +191,8 @@ class SystemConfig:
             raise ConfigError(f"symbol_energy must be a real number, got {energy!r}")
         if not math.isfinite(energy):
             raise ConfigError(f"symbol_energy must be finite, got {energy!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.stagger is not None and not isinstance(self.stagger, bool):
             raise ConfigError(f"stagger must be true, false or null, got {self.stagger!r}")
         if self.n_rx < 2:
@@ -316,14 +314,6 @@ class SweepManifest:
         labels = [label for label, _ in self.entries]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"manifest labels are not unique: {labels}")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.entries)
-
-    @property
-    def configs(self) -> tuple[SystemConfig, ...]:
-        return tuple(cfg for _, cfg in self.entries)
 
 
 # -- config-file schema ------------------------------------------------------

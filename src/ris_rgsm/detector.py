@@ -102,13 +102,6 @@ class EquivalentChannel:
     def tensor(self) -> np.ndarray:
         return self.ring_tensor[..., -1]
 
-    def matched_response(self, combination, waves, rings) -> np.ndarray:
-        """Noiseless receive vector with ring-matched partial sums."""
-        rows = np.asarray(combination) - 1
-        n_active = rows.size
-        h = self.ring_tensor[..., np.arange(n_active), rows, np.asarray(rings)]
-        return h @ np.asarray(waves)
-
 
 def precompute_equivalent_channel(
     channel: ChannelMatrix, config: SystemConfig

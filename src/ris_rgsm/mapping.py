@@ -189,7 +189,6 @@ class Codebook:
         config.validate()
         self.config = config
         self.combinations = build_combination_table(config)
-        self.offsets = stagger_offsets(config)
         self._build_symbols()
 
     # construction helpers
@@ -230,7 +229,7 @@ class Codebook:
                 phase_of = 2.0 * np.pi * k / cfg.phase_order
                 rho_of = ring / cfg.ring_count
                 active_of = ring * (n_g // cfg.ring_count)
-            phases = phase_of[labels] + self.offsets[None, :]
+            phases = phase_of[labels] + stagger_offsets(cfg)[None, :]
             rho, active = rho_of[labels], active_of[labels]
             symbols = amp * rho * np.exp(1j * phases)
             carriers = np.ones(count, dtype=complex)

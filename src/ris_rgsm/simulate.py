@@ -32,7 +32,7 @@ from .detector import (
 )
 from .encoder import encode
 from .mapping import Codebook, int_to_bits
-from .theory import DEFAULT_PAIR_CEILING, check_pair_ceiling, union_bound_ber
+from .theory import check_pair_ceiling, union_bound_ber
 
 UNRELIABLE_ERROR_COUNT = 10
 _WAVE_SIZES = (1, 1, 2, 4, 8, 16, 32)
@@ -192,13 +192,7 @@ def _sweep_point(config, snr_db, executor, block_size) -> BerPoint:
     )
 
 
-def run_simulation(
-    config: SystemConfig,
-    *,
-    workers: int = 1,
-    block_size: int | None = None,
-    label: str = "",
-) -> BerCurve:
+def run_simulation(config: SystemConfig, *, workers: int = 1, label: str = "") -> BerCurve:
     """Monte Carlo BER sweep over the config's SNR grid.
 
     Each trial draws a fresh channel, fresh bits, and fresh noise; a point
@@ -208,7 +202,7 @@ def run_simulation(
     config.validate()
     if not config.snr_grid_db:
         raise ConfigError("config has an empty snr grid")
-    block = block_size or default_block_size(config)
+    block = default_block_size(config)
     points = []
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -229,25 +223,18 @@ def run_simulation(
 # -- theory sweep -----------------------------------------------------------------
 
 
-def run_theory(
-    config: SystemConfig,
-    *,
-    pair_ceiling: int = DEFAULT_PAIR_CEILING,
-    label: str = "",
-) -> BerCurve:
+def run_theory(config: SystemConfig, *, label: str = "") -> BerCurve:
     """Union-bound sweep over the config's SNR grid."""
     config.validate()
     if not config.snr_grid_db:
         raise ConfigError("config has an empty snr grid")
     # refused from the rate alone: the codebook of a refused rate can need gigabytes
-    check_pair_ceiling(1 << config.rate, pair_ceiling)
+    check_pair_ceiling(1 << config.rate)
     codebook = _cached_codebook(config)
     points = []
     for snr in sorted(config.snr_grid_db):
         start = time.perf_counter()
-        result = union_bound_ber(
-            codebook, noise_variance(snr, config.symbol_energy), pair_ceiling=pair_ceiling
-        )
+        result = union_bound_ber(codebook, noise_variance(snr, config.symbol_energy))
         points.append(
             BerPoint(
                 snr_db=snr,
@@ -366,7 +353,6 @@ def compare(
     kind: str = "both",
     target_ber: float = 1e-3,
     workers: int = 1,
-    pair_ceiling: int = DEFAULT_PAIR_CEILING,
 ) -> CompareResult:
     """Run every manifest entry and report pairwise SNR gaps at a target BER."""
     if mode not in ("equal-rate", "free"):
@@ -384,7 +370,7 @@ def compare(
         if kind in ("sim", "both"):
             sim = run_simulation(cfg, workers=workers, label=label)
         if kind in ("theory", "both"):
-            theory = run_theory(cfg, pair_ceiling=pair_ceiling, label=label)
+            theory = run_theory(cfg, label=label)
         if sim is not None and theory is not None:
             curves.append(merge_theory(sim, theory))
         else:

@@ -85,7 +85,7 @@ from .mapping import Codebook
 BOUND_WEIGHTS = (1.0 / 6.0, 1.0 / 12.0, 1.0 / 4.0)
 BOUND_SCALES = (1.0, 2.0, 4.0)  # MGF arguments are -1/(scale * noise_var)
 
-DEFAULT_PAIR_CEILING = 2**27  # admits rate 13 (6.7e7 ordered pairs), refuses rate 15
+PAIR_CEILING = 2**27  # admits rate 13 (6.7e7 ordered pairs), refuses rate 15
 
 
 class TheoryError(ValueError):
@@ -626,27 +626,24 @@ def _noise_free_batch(codebook: Codebook):
     return work
 
 
-def check_pair_ceiling(size: int, pair_ceiling: int) -> int:
+def check_pair_ceiling(size: int) -> int:
     """Ordered pairs of a codebook of ``size`` codewords; raises
-    :class:`EnumerationRefusedError` above ``pair_ceiling``.
+    :class:`EnumerationRefusedError` above :data:`PAIR_CEILING`.
 
     Needs the size alone, so a caller can refuse before building the codebook.
     """
     ordered = size * (size - 1)
-    if ordered > pair_ceiling:
+    if ordered > PAIR_CEILING:
         raise EnumerationRefusedError(
-            f"{ordered} ordered pairs exceed the ceiling of {pair_ceiling}; "
-            "raise --pair-ceiling to evaluate them"
+            f"{ordered} ordered pairs exceed the ceiling of {PAIR_CEILING}"
         )
     return ordered
 
 
-def union_bound_ber(
-    codebook: Codebook, noise_var: float, *, pair_ceiling: int = DEFAULT_PAIR_CEILING
-) -> UnionBoundResult:
+def union_bound_ber(codebook: Codebook, noise_var: float) -> UnionBoundResult:
     """Bit-error-weighted union bound on the average BER over all ordered pairs.
 
-    Refused with :class:`EnumerationRefusedError` above ``pair_ceiling``
+    Refused with :class:`EnumerationRefusedError` above :data:`PAIR_CEILING`
     ordered pairs.  Pairs outside the antenna taxonomy contribute zero and
     are reported through ``skipped_pairs``.  A codeword's label is its index
     in natural binary, so the bit errors of a pair are the set bits of the
@@ -654,7 +651,7 @@ def union_bound_ber(
     """
     cfg = codebook.config
     size = codebook.size
-    ordered = check_pair_ceiling(size, pair_ceiling)
+    ordered = check_pair_ceiling(size)
     signatures, skipped_rows, batch = _noise_free_batch(codebook)
     sums = _bound_sums(batch, noise_var)
     total = 0.0

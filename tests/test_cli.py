@@ -41,6 +41,9 @@ mod_order: 32
 snr_db: [0]
 """
 
+# rate 15: the first MUX-PSK rate on the 5x2 table above the pair ceiling
+RATE_15 = BIG_CODEBOOK.replace("mod_order: 32", "mod_order: 64")
+
 # diversity APSK rings are carrier amplitudes: 4 rings on 10-element groups
 DIVERSITY_APSK = """\
 scheme: diversity
@@ -138,7 +141,7 @@ class TestValidateConfig:
         "line",
         [
             'n_rx: "5"', "n_rx: 5.5", "n_rx: null", "symbol_energy: abc",
-            'max_bit_errors: "9"', "seed: abc", "trials: 1.5", "stagger: maybe",
+            'max_bit_errors: "9"', "seed: abc", "seed: -1", "trials: 1.5", "stagger: maybe",
             "n_active: true", "symbol_energy: true", "stagger: 1",
             "symbol_energy: .nan", "symbol_energy: .inf",
             "combination_table: [[1.5, 3], [1, 4], [1, 5], [2, 3], [2, 4], [2, 5], [3, 4], [3, 5]]",
@@ -194,6 +197,15 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["curves"][0]["config"]["seed"] == 77
 
+    @pytest.mark.parametrize("command", ["simulate", "theory", "validate-config"])
+    def test_negative_seed_exits_two(self, good_config, tmp_path, capsys, command):
+        argv = [command, "-c", str(good_config), "--seed", "-1"]
+        if command != "validate-config":
+            argv += ["-o", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTheoryCommand:
     def test_writes_theory_curve(self, good_config, tmp_path):
@@ -204,14 +216,11 @@ class TestTheoryCommand:
         assert all(r["flag"] == "theory" for r in rows)
         assert all(r["ber"] == "" for r in rows)
 
-    def test_enumeration_refusal_exit_code(self, tmp_path):
-        path = tmp_path / "big.yaml"
-        path.write_text(BIG_CODEBOOK)
-        code = main(
-            ["theory", "-c", str(path), "-o", str(tmp_path / "out"),
-             "--pair-ceiling", "100000"]
-        )
-        assert code == 3
+    def test_enumeration_refusal_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "rate15.yaml"
+        path.write_text(RATE_15)
+        assert main(["theory", "-c", str(path), "-o", str(tmp_path / "out")]) == 3
+        assert "exceed the ceiling" in capsys.readouterr().err
 
     def test_refusal_comes_before_the_codebook(self, tmp_path, monkeypatch, capsys):
         """A config that validates but whose codebook alone needs gigabytes
@@ -233,22 +242,14 @@ class TestTheoryCommand:
         )
         assert code == 3
 
-    @pytest.mark.parametrize(
-        "option,value,message",
-        [
-            ("--pair-ceiling", "-5", "--pair-ceiling: must be at least 1"),
-            ("--pair-ceiling", "0", "--pair-ceiling: must be at least 1"),
-            ("--pair-ceiling", "ten", "--pair-ceiling: expected an integer"),
-        ],
-    )
-    @pytest.mark.parametrize("command", ["theory", "simulate", "compare"])
-    def test_bad_theory_option_exits_two(self, good_config, tmp_path, capsys,
-                                         command, option, value, message):
-        argv = [command, "-c", str(good_config), "-o", str(tmp_path / "out"), option, value]
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_bad_worker_count_exits_two(self, good_config, tmp_path, capsys, command, value):
+        argv = [command, "-c", str(good_config), "-o", str(tmp_path / "out"), "--workers", value]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        assert "--workers: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_rate_13_runs_with_default_flags(self, tmp_path):
@@ -331,3 +332,19 @@ def test_parser_built_once_per_process(good_config, capsys):
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1]
     assert build_parser.cache_info().misses == 1
+
+
+def test_readme_command_lines_parse():
+    """Every ``ris-rgsm`` line of README's "Command line" block parses,
+    optional parts included: brackets are dropped and a placeholder ``N``
+    stands for 1.  Together the lines show every command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = set()
+    for line in block.splitlines():
+        if not line.startswith("ris-rgsm "):
+            continue
+        words = line.split("#", 1)[0].replace("[", " ").replace("]", " ").split()[1:]
+        args = build_parser().parse_args(["1" if word == "N" else word for word in words])
+        commands.add(args.command)
+    assert commands == {"validate-config", "simulate", "theory", "compare"}

@@ -59,7 +59,7 @@ class TestDerivedQuantities:
     def test_apsk_split(self):
         cfg = make_config(scheme="mux_apsk", mod_order=8, ring_count=2).validate()
         assert cfg.phase_order == 4
-        assert cfg.phase_bits == 2 and cfg.ring_bits == 1
+        assert cfg.ring_bits == 1
 
 
 class TestValidation:
@@ -70,6 +70,10 @@ class TestValidation:
     def test_elements_divisible(self):
         with pytest.raises(ConfigError, match="not divisible"):
             make_config(n_elements=65).validate()
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            make_config(seed=-1).validate()
 
     def test_mod_order_power_of_two(self):
         with pytest.raises(ConfigError, match="power of two"):
@@ -230,9 +234,9 @@ class TestConfigFiles:
             "  - {label: apsk, scheme: mux_apsk, mod_order: 8, ring_count: 2}\n"
         )
         manifest = load_manifest(path)
-        assert manifest.labels == ("psk", "apsk")
-        assert all(cfg.seed == 9 for cfg in manifest.configs)
-        assert {cfg.rate for cfg in manifest.configs} == {9}
+        assert [label for label, _ in manifest.entries] == ["psk", "apsk"]
+        assert all(cfg.seed == 9 for _, cfg in manifest.entries)
+        assert {cfg.rate for _, cfg in manifest.entries} == {9}
 
     def test_manifest_duplicate_labels(self, tmp_path):
         path = tmp_path / "manifest.yaml"

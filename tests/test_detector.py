@@ -97,7 +97,7 @@ class TestEquivalentChannel:
         cfg = make_config()
         ch = sample_channel(cfg, stream_rng(2, 0))
         eq = precompute_equivalent_channel(ch, cfg)
-        grouped = ch.amplitude.reshape(cfg.n_rx, cfg.n_active, cfg.n_group)
+        grouped = np.abs(ch.gains).reshape(cfg.n_rx, cfg.n_active, cfg.n_group)
         for n in range(cfg.n_rx):
             for i in range(cfg.n_active):
                 entry = eq.tensor[n, i, n]
@@ -123,42 +123,23 @@ class TestEquivalentChannel:
         cfg = make_config()
         cb = Codebook(cfg)
         ch = sample_channel(cfg, stream_rng(2, 2))
-        eq = precompute_equivalent_channel(ch, cfg)
+        predicted = hypothesis_matrix(precompute_equivalent_channel(ch, cfg), cb)
         for index in (0, 99, 475):
             cw = cb.codeword(index)
             rx = transmit(encode(cw, ch, cfg), ch, float("inf"), stream_rng(0, 0))
-            waves = cb.group_waves[cw.symbol_index]
-            rings = cb.group_rings[cw.symbol_index]
-            assert np.allclose(waves, cw.symbols)
-            assert np.allclose(eq.matched_response(cw.combination, waves, rings), rx.samples)
+            assert np.allclose(cb.group_waves[cw.symbol_index], cw.symbols)
+            assert np.allclose(predicted[:, cw.row, cw.symbol_index], rx.samples)
 
     def test_matched_response_reproduces_apsk_transmit(self):
         """Ring-matched response equals the physical signal for partial rings."""
         cfg = make_config(scheme="mux_apsk", mod_order=8, ring_count=2)
         cb = Codebook(cfg)
         ch = sample_channel(cfg, stream_rng(2, 3))
-        eq = precompute_equivalent_channel(ch, cfg)
+        predicted = hypothesis_matrix(precompute_equivalent_channel(ch, cfg), cb)
         for index in (0, 123, 500):
             cw = cb.codeword(index)
             rx = transmit(encode(cw, ch, cfg), ch, float("inf"), stream_rng(0, 0))
-            rings = cb.group_rings[cw.symbol_index]
-            waves = cb.group_waves[cw.symbol_index]
-            assert np.allclose(eq.matched_response(cw.combination, waves, rings), rx.samples)
-
-    def test_hypothesis_matrix_agrees_with_matched_response(self):
-        cfg = make_config(scheme="mux_apsk", mod_order=8, ring_count=2)
-        cb = Codebook(cfg)
-        ch = sample_channel(cfg, stream_rng(2, 4))
-        eq = precompute_equivalent_channel(ch, cfg)
-        predicted = hypothesis_matrix(eq, cb)
-        for index in (1, 250, 511):
-            cw = cb.codeword(index)
-            rings = cb.group_rings[cw.symbol_index]
-            waves = cb.group_waves[cw.symbol_index]
-            assert np.allclose(
-                predicted[:, cw.row, cw.symbol_index],
-                eq.matched_response(cw.combination, waves, rings),
-            )
+            assert np.allclose(predicted[:, cw.row, cw.symbol_index], rx.samples)
 
 
 class TestDetectML:
@@ -209,9 +190,7 @@ class TestDetectML:
             eq = precompute_equivalent_channel(ch, cfg)
             cw = cb.codeword(17)
             rx = transmit(encode(cw, ch, cfg), ch, snr_db, rng, carrier=cw.carrier)
-            truth = eq.matched_response(
-                cw.combination, cb.group_waves[cw.symbol_index], cb.group_rings[cw.symbol_index]
-            )
+            truth = hypothesis_matrix(eq, cb)[:, cw.row, cw.symbol_index]
             residuals.append(np.sum(np.abs(rx.samples - truth) ** 2))
         expected = cfg.n_rx * n0
         assert abs(np.mean(residuals) - expected) < 0.1 * expected

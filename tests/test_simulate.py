@@ -116,19 +116,22 @@ class TestSweepEngine:
             return _block_job(payload)
 
         monkeypatch.setattr(simulate, "_block_job", counting_job)
+        monkeypatch.setattr(simulate, "default_block_size", lambda config: 16)
         cfg = small_config(snr_grid_db=(-30.0,), trials=100_000, max_bit_errors=70)
-        point = run_simulation(cfg, block_size=16).points[0]
+        point = run_simulation(cfg).points[0]
         used = math.ceil(point.trials / 16)
         wave = next(w for w in _wave_plan(math.ceil(cfg.trials / 16)) if used - 1 in w)
         assert used < wave.stop
         assert calls == list(range(used))
 
-    def test_block_size_does_not_change_full_sweep(self):
+    def test_block_size_does_not_change_full_sweep(self, monkeypatch):
         """With the trial cap reached, block partitioning is irrelevant."""
         cfg = small_config(trials=2048, max_bit_errors=10**9)
-        a = run_simulation(cfg, block_size=256).points[0]
-        b = run_simulation(cfg, block_size=1024).points[0]
-        assert a.trials == b.trials == 2048
+        points = []
+        for block in (256, 1024):
+            monkeypatch.setattr(simulate, "default_block_size", lambda config, size=block: size)
+            points.append(run_simulation(cfg).points[0])
+        assert points[0].trials == points[1].trials == 2048
 
     def test_points_sorted_by_snr(self):
         cfg = small_config(snr_grid_db=(-6.0, -14.0, -10.0), trials=500)
@@ -181,11 +184,12 @@ class TestSweepEngine:
         whose metric table is built once."""
         simulate._cached_codebook.cache_clear()
         plans = counting(monkeypatch, detector, "_SearchPlan")
+        monkeypatch.setattr(simulate, "default_block_size", lambda config: 64)
         cfg = small_config(
             scheme="mux_apsk", mod_order=8, ring_count=2, n_rx=5, combination_table=None,
             snr_grid_db=(-10.0, -4.0), trials=256,
         )
-        curve = run_simulation(cfg, block_size=64)
+        curve = run_simulation(cfg)
         assert [p.trials for p in curve.points] == [256, 256]
         assert len(plans) == 1
 

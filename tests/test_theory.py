@@ -27,7 +27,7 @@ from ris_rgsm.mapping import int_to_bits
 from ris_rgsm.theory import (
     BOUND_SCALES,
     BOUND_WEIGHTS,
-    DEFAULT_PAIR_CEILING,
+    PAIR_CEILING,
     _block_log_mgf,
     _bound_sums,
     _label_factors,
@@ -60,6 +60,12 @@ def make_config(**overrides):
 @pytest.fixture(scope="module")
 def codebook():
     return Codebook(make_config())
+
+
+@pytest.fixture
+def rate_15_codebook():
+    """Above the pair ceiling: 2^15 codewords, 32768 * 32767 ordered pairs."""
+    return Codebook(make_config(scheme="mux_psk", mod_order=64, ring_count=1))
 
 
 def codeword_stats(codebook, index, index_hat):
@@ -602,20 +608,18 @@ class TestUnionBound:
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_exhaustive_refusal_above_ceiling(self, codebook):
-        with pytest.raises(EnumerationRefusedError, match="--pair-ceiling"):
-            union_bound_ber(codebook, 1.0, pair_ceiling=1000)
+    def test_exhaustive_refusal_above_ceiling(self, rate_15_codebook):
+        with pytest.raises(EnumerationRefusedError, match="exceed the ceiling"):
+            union_bound_ber(rate_15_codebook, 1.0)
 
-    def test_refusal_leaves_nothing_cached(self):
-        fresh = Codebook(make_config())
+    def test_refusal_leaves_nothing_cached(self, rate_15_codebook):
         with pytest.raises(EnumerationRefusedError):
-            union_bound_ber(fresh, 1.0, pair_ceiling=1000)
-        assert not hasattr(fresh, "_bound_work")
+            union_bound_ber(rate_15_codebook, 1.0)
+        assert not hasattr(rate_15_codebook, "_bound_work")
 
-    def test_default_ceiling_admits_rate_13_only(self):
-        """Rate 13 runs by default; rate 15 is refused before any work."""
-        assert 8192 * 8191 <= DEFAULT_PAIR_CEILING < 32768 * 32767
-        cb = Codebook(make_config(scheme="mux_psk", mod_order=64, ring_count=1))
-        assert cb.config.rate == 15
+    def test_default_ceiling_admits_rate_13_only(self, rate_15_codebook):
+        """The ceiling admits rate 13; rate 15 is refused before any work."""
+        assert 8192 * 8191 <= PAIR_CEILING < 32768 * 32767
+        assert rate_15_codebook.config.rate == 15
         with pytest.raises(EnumerationRefusedError):
-            union_bound_ber(cb, 1.0)
+            union_bound_ber(rate_15_codebook, 1.0)
