@@ -17,13 +17,11 @@ from .config import (
     load_config,
     load_manifest,
 )
-from .channel import ChannelMatrix, sample_channel, stream_rng
+from .channel import sample_channel, stream_rng
 from .mapping import Codebook, Codeword, build_combination_table
 from .encoder import EncodeError, ReflectionVector, encode
 from .detector import (
     BitErrorCounts,
-    EquivalentChannel,
-    ReceivedVector,
     count_bit_errors,
     detect_ml,
     noise_variance,
@@ -61,7 +59,6 @@ __all__ = [
     "BerCurve",
     "BerPoint",
     "BitErrorCounts",
-    "ChannelMatrix",
     "Codebook",
     "Codeword",
     "CompareResult",
@@ -69,9 +66,7 @@ __all__ = [
     "DifferenceStatistics",
     "EncodeError",
     "EnumerationRefusedError",
-    "EquivalentChannel",
     "MgfDomainError",
-    "ReceivedVector",
     "ReflectionVector",
     "Scheme",
     "SweepManifest",

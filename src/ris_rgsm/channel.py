@@ -1,7 +1,9 @@
 """Flat Rayleigh fading between RIS elements and receive antennas.
 
-Channel entries are i.i.d. unit-variance circularly symmetric complex
-Gaussians.
+A channel is a plain ``(..., n_rx, n_elements)`` complex array of i.i.d.
+unit-variance circularly symmetric complex Gaussians; leading axes, if
+any, index trials.  Column ``(l - 1) * group_size + k - 1`` is element
+``k`` of RIS group ``l`` (both 1-based).
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream, counter)``: any draw is reproducible bit-for-bit without
@@ -9,8 +11,6 @@ generating its predecessors, so trials parallelize deterministically.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,26 +23,6 @@ def stream_rng(seed: int, stream: int, counter: int = 0) -> np.random.Generator:
     """Deterministic Philox generator for an (independent) logical stream."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, counter))
     return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
-    """One ``n_rx x n_elements`` Rayleigh realization, or a batch of them
-    stacked along leading axes of ``gains``."""
-
-    gains: np.ndarray
-
-    @property
-    def n_elements(self) -> int:
-        return self.gains.shape[-1]
-
-    def group_view(self, n_active: int) -> np.ndarray:
-        """Reshape columns into RIS groups: ``(..., n_rx, n_active, group_size)``."""
-        if self.n_elements % n_active != 0:
-            raise ValueError(
-                f"{self.n_elements} elements do not split into {n_active} groups"
-            )
-        return self.gains.reshape(*self.gains.shape[:-1], n_active, -1)
 
 
 def sample_gains(shape, rng: np.random.Generator) -> np.ndarray:
@@ -66,6 +46,6 @@ def sample_gains(shape, rng: np.random.Generator) -> np.ndarray:
     return gains
 
 
-def sample_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelMatrix:
-    """Draw one i.i.d. CN(0, 1) channel realization."""
-    return ChannelMatrix(gains=sample_gains((config.n_rx, config.n_elements), rng))
+def sample_channel(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw one i.i.d. CN(0, 1) ``(n_rx, n_elements)`` channel realization."""
+    return sample_gains((config.n_rx, config.n_elements), rng)

@@ -14,6 +14,7 @@ from pathlib import Path
 from .config import (
     ConfigError,
     SweepManifest,
+    _checked_label,
     load_config,
     load_config_or_manifest,
     load_manifest,
@@ -57,6 +58,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _label(text: str) -> str:
+    """argparse type: a curve label (else exit 2); empty leaves the default name."""
+    try:
+        return _checked_label(text) if text else text
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process (parsing does not change it)."""
@@ -72,14 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--workers", type=_int_at_least(1), default=1, help="parallel trial workers"
     )
-    p_sim.add_argument("--label", default="", help="curve label")
+    p_sim.add_argument("--label", type=_label, default="", help="curve label")
     p_sim.add_argument(
         "--with-theory", action="store_true", help="attach the union bound to each point"
     )
 
     p_theory = sub.add_parser("theory", help="union-bound sweep")
     _add_common(p_theory)
-    p_theory.add_argument("--label", default="", help="curve label")
+    p_theory.add_argument("--label", type=_label, default="", help="curve label")
 
     p_cmp = sub.add_parser("compare", help="run a manifest of labeled curves")
     _add_common(p_cmp)

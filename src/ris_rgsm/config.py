@@ -191,6 +191,8 @@ class SystemConfig:
             raise ConfigError(f"symbol_energy must be a real number, got {energy!r}")
         if not math.isfinite(energy):
             raise ConfigError(f"symbol_energy must be finite, got {energy!r}")
+        if not all(map(math.isfinite, self.snr_grid_db or ())):
+            raise ConfigError(f"snr_db values must be finite, got {list(self.snr_grid_db)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.stagger is not None and not isinstance(self.stagger, bool):
@@ -338,8 +340,8 @@ def _snr_grid(raw) -> tuple[float, ...]:
         if missing:
             raise ConfigError(f"snr_db range needs keys start/stop/step, missing {missing}")
         start, stop, step = _snr_values((raw["start"], raw["stop"], raw["step"]))
-        if step <= 0 or stop < start:
-            raise ConfigError("snr_db range must have step > 0 and stop >= start")
+        if not (step > 0 and stop >= start and math.isfinite(stop - start)):
+            raise ConfigError("snr_db range must have step > 0 and a finite stop >= start")
         # the last point is the largest start + i*step not past stop, with a
         # tolerance so that a step dividing the span in decimal still reaches it
         count = math.floor((stop - start) / step + 1e-9) + 1
@@ -402,6 +404,13 @@ def load_config_or_manifest(path) -> SystemConfig | SweepManifest:
     return config_from_mapping(data)
 
 
+def _checked_label(label: str) -> str:
+    """A curve label that names its output files inside the output directory."""
+    if label in ("", ".", "..") or "/" in label or "\\" in label:
+        raise ConfigError(f"label {label!r} is empty, '.', '..' or holds a path separator")
+    return label
+
+
 def _manifest_from_mapping(data) -> SweepManifest:
     if not isinstance(data, dict) or "curves" not in data:
         raise ConfigError("manifest must be a mapping with a 'curves' list")
@@ -413,7 +422,7 @@ def _manifest_from_mapping(data) -> SweepManifest:
     for item in curves:
         if not isinstance(item, dict) or "label" not in item:
             raise ConfigError("each manifest curve needs a 'label'")
-        label = str(item["label"])
+        label = _checked_label(str(item["label"]))
         merged = dict(shared)
         merged.update({k: v for k, v in item.items() if k != "label"})
         entries.append((label, config_from_mapping(merged)))

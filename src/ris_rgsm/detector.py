@@ -1,9 +1,11 @@
 """Received-signal synthesis, equivalent channel, and exhaustive ML detection.
 
-The equivalent-channel tensor collects, for every receive antenna and every
-group, the reflected sum obtained when that group steers toward any
-candidate antenna.  One tensor serves all hypotheses of a channel
-realization.  The ML search scores the codebook without an
+Every stage takes and returns plain arrays: the ``(..., n_rx, n_elements)``
+channel gains, the ``(..., n_rx)`` received samples and the ring tensor of
+:func:`precompute_equivalent_channel`, which collects, for every receive
+antenna and every group, the reflected sum obtained when that group steers
+toward any candidate antenna.  One ring tensor serves all hypotheses of a
+channel realization.  The ML search scores the codebook without an
 ``(n_rx, codebook)`` hypothesis tensor: every codeword responds with a sum
 of label factors (one per group for MUX, the row's summed group response
 for diversity and RGSSK), so its metric is a few real features of the
@@ -15,7 +17,7 @@ trial's grid exceeds the tile budget.  :func:`hypothesis_matrix` is the
 dense reference model of the same responses.
 
 Stagger rotations live in the codebook's equivalent symbols, never in the
-tensor, so the steered entries are real and positive and no rotation is
+ring tensor, so the steered entries are real and positive and no rotation is
 counted twice.
 """
 
@@ -23,12 +25,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelMatrix
 from .config import SystemConfig
 from .encoder import ReflectionVector
 from .mapping import Codebook, Codeword
@@ -43,22 +43,18 @@ def noise_variance(snr_db: float, symbol_energy: float = 1.0) -> float:
     return symbol_energy * 10.0 ** (-snr_db / 10.0)
 
 
-@dataclass(frozen=True, eq=False)
-class ReceivedVector:
-    samples: np.ndarray
-    noise_var: float
-
-
 def transmit(
     reflection: ReflectionVector,
-    channel: ChannelMatrix,
+    gains: np.ndarray,
     snr_db: float,
     rng: np.random.Generator,
     *,
     carrier: complex = 1.0 + 0j,
     symbol_energy: float = 1.0,
-) -> ReceivedVector:
-    """Propagate a reflection vector and add white Gaussian noise.
+) -> np.ndarray:
+    """Propagate a reflection vector through the ``(..., n_rx, n_elements)``
+    channel ``gains`` and add white Gaussian noise of variance
+    :func:`noise_variance` per antenna; returns the ``(..., n_rx)`` samples.
 
     ``carrier`` is the modulated symbol on the incident wave (unit for the
     MUX and RGSSK schemes, the shared constellation symbol for diversity).
@@ -66,57 +62,37 @@ def transmit(
     trial, with the noise of all trials drawn in one call.
     """
     n0 = noise_variance(snr_db, symbol_energy)
-    n_active = np.shape(reflection.active)[-1]
-    clean = np.einsum(
-        "...nik,...ik->...n", channel.group_view(n_active), reflection.group_view(n_active)
-    )
+    clean = np.einsum("...ne,...e->...n", gains, reflection.coefficients)
     clean *= np.sqrt(symbol_energy) * np.asarray(carrier)[..., None]
     if n0 > 0:
-        noise = np.sqrt(n0 / 2.0) * (
+        clean += np.sqrt(n0 / 2.0) * (
             rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
         )
-    else:
-        noise = np.zeros(clean.shape, dtype=complex)
-    return ReceivedVector(samples=clean + noise, noise_var=n0)
+    return clean
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalentChannel:
-    """Reflected group sums for every steering target.
+def precompute_equivalent_channel(gains: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """The ring tensor: reflected group sums for every steering target.
 
-    ``tensor[..., n, i, a]`` is the sum over group ``i``'s elements of the
-    channel to antenna ``n`` times the conjugated phase toward antenna ``a``
-    (all 0-based).  For ``a == n`` the entry is the real, positive amplitude
-    sum.  Leading axes, if any, index trials.
-
-    ``ring_tensor[..., n, i, a, r]`` restricts the sum to the elements a
-    ring-``r`` hypothesis leaves ON, so the receiver can match partially
-    activated groups exactly; the last ring slice is the full-group ``tensor``.
-    Only ``mux_apsk`` switches groups partly ON, so the other schemes have
-    one ring (``SystemConfig.ris_rings``).
+    ``ring_tensor[..., n, i, a, r]`` sums, over the elements of group ``i``
+    that a ring-``r`` hypothesis leaves ON, the channel to antenna ``n``
+    times the conjugated phase toward antenna ``a`` (all 0-based).  The last
+    ring, ``ring_tensor[..., -1]``, is the full group, whose ``a == n``
+    entry is the real, positive amplitude sum.  Only ``mux_apsk`` switches
+    groups partly ON; the other schemes have one ring
+    (``SystemConfig.ris_rings``).  Leading axes of ``gains`` index trials.
     """
-
-    ring_tensor: np.ndarray
-
-    @property
-    def tensor(self) -> np.ndarray:
-        return self.ring_tensor[..., -1]
-
-
-def precompute_equivalent_channel(
-    channel: ChannelMatrix, config: SystemConfig
-) -> EquivalentChannel:
-    grouped = channel.group_view(config.n_active)
+    grouped = gains.reshape(*gains.shape[:-1], config.n_active, -1)
     align = np.conj(grouped) / np.abs(grouped)
     rings = config.ris_rings
     chunked = grouped.shape[:-1] + (rings, config.n_group // rings)
     per_ring = np.einsum(
         "...nick,...aick->...niac", grouped.reshape(chunked), align.reshape(chunked)
     )
-    return EquivalentChannel(ring_tensor=np.cumsum(per_ring, axis=-1))
+    return np.cumsum(per_ring, axis=-1)
 
 
-def hypothesis_matrix(equiv: EquivalentChannel, codebook: Codebook) -> np.ndarray:
+def hypothesis_matrix(ring_tensor: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Noiseless receive vectors for the whole codebook.
 
     Uses the ring-matched model, so the entry for the transmitted codeword
@@ -124,7 +100,6 @@ def hypothesis_matrix(equiv: EquivalentChannel, codebook: Codebook) -> np.ndarra
     ``(..., n_rx, n_combinations, symbols_per_row)`` complex array.
     """
     combos = codebook.combinations
-    ring_tensor = equiv.ring_tensor
     shape = ring_tensor.shape[:-3] + (combos.shape[0], codebook.symbols_per_row)
     predicted = np.zeros(shape, dtype=complex)
     for i in range(combos.shape[1]):
@@ -197,7 +172,7 @@ def _search_plan(codebook: Codebook) -> _SearchPlan:
 
 
 def _metric_features(
-    samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook
+    samples: np.ndarray, ring_tensor: np.ndarray, codebook: Codebook
 ) -> np.ndarray:
     """Real ``(..., rows, F)`` features of every trial and combination row,
     in the layout of :func:`_search_plan`.
@@ -210,11 +185,10 @@ def _metric_features(
     gathers the entries of its own columns.
     """
     _, combos, slots, pairs = _search_plan(codebook)
-    ring_tensor = equiv.ring_tensor
     if codebook.config.scheme.is_mux:
         columns = ring_tensor.reshape(*ring_tensor.shape[:-3], -1)
     else:
-        columns = equiv.tensor[..., np.arange(combos.shape[1]), combos].sum(axis=-1)
+        columns = ring_tensor[..., -1][..., np.arange(combos.shape[1]), combos].sum(axis=-1)
     columns = np.ascontiguousarray(columns, dtype=complex)
     # ||g||^2 of every column: squares of the interleaved real and imaginary parts
     parts = columns.view(np.float64)
@@ -249,7 +223,7 @@ def trial_tiles(trials: int, codebook: Codebook) -> list[slice]:
     return [slice(start, start + step) for start in range(0, trials, step)]
 
 
-def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook) -> np.ndarray:
+def ml_argmin(samples: np.ndarray, ring_tensor: np.ndarray, codebook: Codebook) -> np.ndarray:
     """Codeword index minimizing the Euclidean metric, per trial.
 
     No hypothesis tensor is built.  A codeword's response is a sum of label
@@ -268,9 +242,9 @@ def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook)
     tile when the whole grid does), and a tile's minimum replaces the
     running one only when it is strictly smaller, which keeps the
     lowest-index tie rule.  ``samples`` is ``(..., n_rx)`` with the leading
-    axes of ``equiv``.
+    axes of ``ring_tensor``.
     """
-    features = _metric_features(samples, equiv, codebook)
+    features = _metric_features(samples, ring_tensor, codebook)
     table = _search_plan(codebook).table
     lead = np.shape(samples)[:-1]
     rows, symbols = features.shape[-2], table.shape[1]
@@ -286,15 +260,13 @@ def ml_argmin(samples: np.ndarray, equiv: EquivalentChannel, codebook: Codebook)
     return index[()]  # a scalar for unbatched samples, as np.argmin gives
 
 
-def detect_ml(
-    received: ReceivedVector, equiv: EquivalentChannel, codebook: Codebook
-) -> Codeword:
+def detect_ml(samples: np.ndarray, ring_tensor: np.ndarray, codebook: Codebook) -> Codeword:
     """Exhaustive joint ML detection over the full codebook.
 
     Ties break toward the lowest codeword index (row-major over combination
     rows then symbol indices), which makes detection deterministic.
     """
-    return codebook.codeword(ml_argmin(received.samples, equiv, codebook))
+    return codebook.codeword(ml_argmin(samples, ring_tensor, codebook))
 
 
 class BitErrorCounts(NamedTuple):

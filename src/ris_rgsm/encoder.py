@@ -3,7 +3,8 @@
 Every scheme points each RIS group at its selected antenna by conjugating
 the channel phases; the MUX schemes additionally rotate whole groups
 (phase modulation) and switch trailing elements off (amplitude modulation).
-Entries therefore always have modulus exactly 1 or exactly 0.
+Entries therefore always have modulus exactly 1 or exactly 0.  The channel
+comes in as the plain gains array of :mod:`ris_rgsm.channel`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix
 from .config import Scheme, SystemConfig
 from .mapping import Codeword
 
@@ -23,26 +23,19 @@ class EncodeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ReflectionVector:
-    """Length-``n_elements`` reflection coefficients plus group metadata.
-
-    A batch of vectors carries the same leading axes on every field.
-    """
+    """Length-``n_elements`` reflection coefficients, with a batch's leading axes."""
 
     coefficients: np.ndarray
-    phases: np.ndarray
-    active: np.ndarray
-
-    def group_view(self, n_active: int) -> np.ndarray:
-        return self.coefficients.reshape(*self.coefficients.shape[:-1], n_active, -1)
 
 
-def encode(codeword: Codeword, channel: ChannelMatrix, config: SystemConfig) -> ReflectionVector:
+def encode(codeword: Codeword, gains: np.ndarray, config: SystemConfig) -> ReflectionVector:
     """Steer each group at its selected antenna, rotate it by its phase and
     switch on only its first ``active`` elements.
 
     Pure phase cancellation (diversity, RGSSK) is the zero-rotation,
-    full-group case.  A codeword and channel built from index and gain
-    arrays with a leading batch axis encode one vector per trial.
+    full-group case.  ``gains`` is the ``(..., n_rx, n_elements)`` channel;
+    a codeword built from index arrays and gains with the same leading
+    batch axis encode one vector per trial.
     """
     active = np.asarray(codeword.active)
     if config.scheme is Scheme.MUX_APSK:
@@ -54,7 +47,7 @@ def encode(codeword: Codeword, channel: ChannelMatrix, config: SystemConfig) -> 
     # unit phasors cancelling the channel phase toward each group's antenna,
     # rotated and masked in the gathered copy of the channel
     rows = np.asarray(codeword.combination) - 1
-    grouped = channel.group_view(config.n_active)
+    grouped = gains.reshape(*gains.shape[:-1], config.n_active, -1)
     toward = np.take_along_axis(grouped, rows[..., None, :, None], axis=-3)[..., 0, :, :]
     coefficients = toward.astype(complex, copy=False)  # a copy only for real gains
     magnitude = np.abs(coefficients)
@@ -62,8 +55,4 @@ def encode(codeword: Codeword, channel: ChannelMatrix, config: SystemConfig) -> 
     coefficients /= magnitude
     coefficients *= np.exp(1j * np.asarray(codeword.phases))[..., None]
     coefficients *= np.arange(config.n_group) < active[..., None]
-    return ReflectionVector(
-        coefficients=coefficients.reshape(*coefficients.shape[:-2], -1),
-        phases=np.array(codeword.phases),
-        active=active.copy(),
-    )
+    return ReflectionVector(coefficients.reshape(*coefficients.shape[:-2], -1))

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .channel import ChannelMatrix, sample_gains, stream_rng
+from .channel import sample_gains, stream_rng
 from .config import ConfigError, SweepManifest, SystemConfig
 from .detector import (
     count_bit_errors,
@@ -112,21 +112,13 @@ def _block_counts(config: SystemConfig, snr_db: float, block_index: int, block_s
     rng = stream_rng(cfg.seed, _snr_stream_key(snr_db), block_index)
     bits = rng.integers(0, 2, size=(block_size, cfg.rate), dtype=np.uint8)
     codewords = cb.map_bits(bits)
-    channel = ChannelMatrix(sample_gains((block_size, cfg.n_rx, cfg.n_elements), rng))
-    received = transmit(
-        encode(codewords, channel, cfg),
-        channel,
-        snr_db,
-        rng,
-        carrier=codewords.carrier,
-        symbol_energy=cfg.symbol_energy,
+    gains = sample_gains((block_size, cfg.n_rx, cfg.n_elements), rng)
+    samples = transmit(
+        encode(codewords, gains, cfg), gains, snr_db, rng,
+        carrier=codewords.carrier, symbol_energy=cfg.symbol_energy,
     )
     detected = np.concatenate([
-        ml_argmin(
-            received.samples[tile],
-            precompute_equivalent_channel(ChannelMatrix(channel.gains[tile]), cfg),
-            cb,
-        )
+        ml_argmin(samples[tile], precompute_equivalent_channel(gains[tile], cfg), cb)
         for tile in trial_tiles(block_size, cb)
     ])
     labels = int_to_bits(detected, cfg.rate)
@@ -359,6 +351,8 @@ def compare(
         raise ConfigError(f"unknown compare mode {mode!r}")
     if kind not in ("sim", "theory", "both"):
         raise ConfigError(f"unknown compare kind {kind!r}")
+    if not 0 < target_ber < 1:
+        raise ConfigError(f"target_ber must lie in (0, 1), got {target_ber!r}")
     if mode == "equal-rate":
         rates = {label: cfg.rate for label, cfg in manifest.entries}
         if len(set(rates.values())) > 1:

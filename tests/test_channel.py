@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ris_rgsm import SystemConfig, sample_channel, stream_rng
+from ris_rgsm import Codebook, SystemConfig, encode, sample_channel, stream_rng
 from ris_rgsm import channel
 from ris_rgsm.channel import sample_gains
 
@@ -19,16 +19,16 @@ def make_config(**overrides):
 class TestSampling:
     def test_shape_and_dtype(self):
         cfg = make_config()
-        ch = sample_channel(cfg, stream_rng(cfg.seed, 0))
-        assert ch.gains.shape == (4, 64)
-        assert ch.gains.dtype == complex
+        gains = sample_channel(cfg, stream_rng(cfg.seed, 0))
+        assert gains.shape == (4, 64)
+        assert gains.dtype == complex
 
     def test_amplitude_moments(self):
         """Rayleigh amplitude: mean sqrt(pi)/2, variance (4-pi)/4."""
         cfg = make_config(n_rx=16, n_elements=64)
         rng = stream_rng(1234, 0)
         beta = np.concatenate(
-            [np.abs(sample_channel(cfg, rng).gains).ravel() for _ in range(1000)]
+            [np.abs(sample_channel(cfg, rng)).ravel() for _ in range(1000)]
         )
         assert beta.size >= 1_000_000
         assert abs(beta.mean() - np.sqrt(np.pi) / 2) < 0.002
@@ -38,15 +38,19 @@ class TestSampling:
         cfg = make_config(n_rx=16, n_elements=64)
         rng = stream_rng(77, 0)
         power = np.concatenate(
-            [np.abs(sample_channel(cfg, rng).gains.ravel()) ** 2 for _ in range(1000)]
+            [np.abs(sample_channel(cfg, rng).ravel()) ** 2 for _ in range(1000)]
         )
         assert abs(power.mean() - 1.0) < 0.005
 
     def test_group_view_layout(self):
-        ch = sample_channel(make_config(), stream_rng(5, 0))
-        grouped = ch.group_view(2)
-        # member k of group l (1-based) sits at 0-based column (l-1)*32 + k - 1
-        assert grouped[1, 1, 2] == ch.gains[1, 34]
+        """Member k of group l (1-based) sits at 0-based column (l-1)*32 + k - 1:
+        steering group 2 at antenna 2 cancels the phase of column 34 there."""
+        cfg = make_config()
+        gains = sample_channel(cfg, stream_rng(5, 0))
+        cw = Codebook(cfg).codeword(0)
+        assert tuple(cw.combination) == (1, 2)
+        coefficient = encode(cw, gains, cfg).coefficients[34]
+        assert np.isclose(coefficient, np.conj(gains[1, 34]) / np.abs(gains[1, 34]))
 
 
 class TestDeterminism:
@@ -54,19 +58,19 @@ class TestDeterminism:
         cfg = make_config()
         a = sample_channel(cfg, stream_rng(42, 3, 7))
         b = sample_channel(cfg, stream_rng(42, 3, 7))
-        assert np.array_equal(a.gains, b.gains)
+        assert np.array_equal(a, b)
 
     def test_distinct_counters_differ(self):
         cfg = make_config()
         a = sample_channel(cfg, stream_rng(42, 3, 7))
         b = sample_channel(cfg, stream_rng(42, 3, 8))
-        assert not np.allclose(a.gains, b.gains)
+        assert not np.allclose(a, b)
 
     def test_distinct_streams_differ(self):
         cfg = make_config()
         a = sample_channel(cfg, stream_rng(42, 3, 7))
         b = sample_channel(cfg, stream_rng(42, 4, 7))
-        assert not np.allclose(a.gains, b.gains)
+        assert not np.allclose(a, b)
 
     @pytest.mark.parametrize(
         "shape",

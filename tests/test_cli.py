@@ -1,11 +1,15 @@
 """Tests for the command-line driver and its exit codes."""
 
 import csv
+import functools
+import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import ris_rgsm
 from ris_rgsm.cli import build_parser, main
 from ris_rgsm.mapping import Codebook
 
@@ -317,6 +321,56 @@ class TestCompareCommand:
         assert main(["compare", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
 
 
+def files_under(path):
+    return sorted(p.relative_to(path) for p in path.rglob("*"))
+
+
+class TestRefusalsWriteNothing:
+    """Each refusal exits 2 before any run, and no file appears anywhere."""
+
+    @pytest.mark.parametrize("grid", ["[.nan, 0]", "[.inf]"])
+    @pytest.mark.parametrize("command", ["validate-config", "simulate", "theory"])
+    def test_non_finite_snr(self, tmp_path, capsys, command, grid):
+        path = tmp_path / "snr.yaml"
+        path.write_text(GOOD_CONFIG.replace("snr_db: [-14, -10]", f"snr_db: {grid}"))
+        argv = [command, "-c", str(path)]
+        if command != "validate-config":
+            argv += ["-o", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "snr_db values must be finite" in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("snr.yaml")]
+
+    @pytest.mark.parametrize("label", ["../x", "../../up", "a/b", ".", ".."])
+    @pytest.mark.parametrize("command", ["simulate", "theory"])
+    def test_label_outside_output(self, good_config, tmp_path, capsys, command, label):
+        out = tmp_path / "deep" / "a" / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-c", str(good_config), "-o", str(out), "--label", label])
+        assert exc.value.code == 2
+        assert "--label" in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("config.yaml")]
+
+    @pytest.mark.parametrize("label", ["../escaped", "a/b"])
+    def test_manifest_label_outside_output(self, tmp_path, capsys, label):
+        path = tmp_path / "manifest.yaml"
+        # the first curve is valid: the refusal still comes before any output
+        path.write_text(MANIFEST.replace("{label: n32,", f"{{label: '{label}',"))
+        argv = ["compare", "--kind", "theory", "--mode", "free", "-c", str(path)]
+        assert main(argv + ["-o", str(tmp_path / "o")]) == 2
+        assert f"label {label!r}" in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("manifest.yaml")]
+
+    @pytest.mark.parametrize("target", ["0", "-1", "nan", "2", "1"])
+    def test_target_ber_outside_unit_interval(self, tmp_path, capsys, target):
+        path = tmp_path / "manifest.yaml"
+        path.write_text(MANIFEST)
+        argv = ["compare", "--kind", "theory", "--mode", "free", "-c", str(path),
+                "-o", str(tmp_path / "o"), "--target-ber", target]
+        assert main(argv) == 2
+        assert "target_ber" in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("manifest.yaml")]
+
+
 def test_parser_built_once_per_process(good_config, capsys):
     """Repeated calls share one parser, and parsing leaves it unchanged:
     a later call prints the same help and the same usage error."""
@@ -348,3 +402,32 @@ def test_readme_command_lines_parse():
         args = build_parser().parse_args(["1" if word == "N" else word for word in words])
         commands.add(args.command)
     assert commands == {"validate-config", "simulate", "theory", "compare"}
+
+
+def test_readme_library_surface_resolves():
+    """Every name of README's "Library surface" section resolves: each ``rr.``
+    name of the example, and each backticked name or call of the prose, is an
+    attribute of ``ris_rgsm`` or of the module or class it is written with.
+    A plain argument of a call is a parameter of the function called, and a
+    bare word may be a parameter of any of those functions."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library surface", 1)[1].split("\n## ", 1)[0]
+    _, example, prose = section.split("```", 2)
+    names, calls = set(re.findall(r"\brr\.(\w+)", example)), []
+    for span in re.findall(r"`([^`]+)`", prose):
+        match = re.fullmatch(r"(?:ris_rgsm\.)?([A-Za-z_][\w.]*)(?:\((.*)\))?", span, re.S)
+        if match:
+            names.add(match.group(1))
+            args = [a.strip() for a in (match.group(2) or "").split(",")]
+            calls += [(match.group(1), a) for a in args if a.isidentifier()]
+    found, parameters = {}, set()
+    for name in names:
+        target = functools.reduce(lambda obj, part: getattr(obj, part, None), name.split("."), ris_rgsm)
+        if target is not None:
+            found[name] = target
+            if inspect.isfunction(target):
+                parameters.update(inspect.signature(target).parameters)
+    assert sorted(names - found.keys() - parameters) == []
+    for name, arg in calls:
+        assert arg in inspect.signature(found[name]).parameters, f"{name}({arg})"
+    assert {"detector.ml_argmin", "detector.hypothesis_matrix", "transmit"} <= found.keys()

@@ -149,6 +149,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="symbol_energy"):
             make_config(symbol_energy=energy).validate()
 
+    @pytest.mark.parametrize("grid", [(float("nan"), 0.0), (float("inf"),), (0.0, -float("inf"))])
+    def test_non_finite_snr(self, grid):
+        with pytest.raises(ConfigError, match="snr_db"):
+            make_config(snr_grid_db=grid).validate()
+
     def test_numpy_integers_accepted(self):
         cfg = make_config(n_rx=np.int64(5), seed=np.uint32(7)).validate()
         assert cfg.rate == 9
@@ -210,6 +215,24 @@ class TestConfigFiles:
         )
         assert load_config(path).snr_grid_db == expected
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "[.nan, 0]",
+            "[.inf]",
+            "{start: 0, stop: .inf, step: 1}",
+            "{start: -.inf, stop: 0, step: 1}",
+            "{start: 0, stop: 1, step: .nan}",
+        ],
+    )
+    def test_non_finite_snr_in_file(self, tmp_path, grid):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            f"scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\nsnr_db: {grid}\n"
+        )
+        with pytest.raises(ConfigError, match="snr_db"):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\nbogus: 1\n")
@@ -247,4 +270,14 @@ class TestConfigFiles:
             "  - {label: a, scheme: mux_psk, mod_order: 4}\n"
         )
         with pytest.raises(ConfigError, match="unique"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "a/b", "a\\b", "/abs"])
+    def test_manifest_label_must_be_a_file_name(self, tmp_path, label):
+        path = tmp_path / "manifest.yaml"
+        path.write_text(
+            "n_elements: 64\nn_rx: 5\nn_active: 2\nsnr_db: [0]\n"
+            f"curves:\n  - {{label: '{label}', scheme: mux_psk, mod_order: 8}}\n"
+        )
+        with pytest.raises(ConfigError, match="label"):
             load_manifest(path)

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ris_rgsm import (
-    ChannelMatrix,
     Codebook,
     SystemConfig,
     count_bit_errors,
@@ -23,8 +22,6 @@ from ris_rgsm import (
 from ris_rgsm import detector
 from ris_rgsm.channel import sample_gains
 from ris_rgsm.detector import (
-    EquivalentChannel,
-    ReceivedVector,
     _metric_features,
     _search_plan,
     hypothesis_matrix,
@@ -51,22 +48,18 @@ class TestTransmit:
         cw = cb.codeword(77)
         refl = encode(cw, ch, cfg)
         rx = transmit(refl, ch, float("inf"), stream_rng(1, 1), carrier=cw.carrier)
-        assert rx.noise_var == 0.0
-        assert np.allclose(rx.samples, ch.gains @ refl.coefficients)
+        assert noise_variance(float("inf")) == 0.0
+        assert np.allclose(rx, ch @ refl.coefficients)
 
     def test_noise_only_variance(self):
         """A dark RIS leaves pure noise with per-antenna variance N0."""
         cfg = make_config()
-        dark = ReflectionVector(
-            coefficients=np.zeros(cfg.n_elements, dtype=complex),
-            phases=np.zeros(cfg.n_active),
-            active=np.zeros(cfg.n_active, dtype=np.int64),
-        )
+        dark = ReflectionVector(coefficients=np.zeros(cfg.n_elements, dtype=complex))
         ch = sample_channel(cfg, stream_rng(1, 0))
         rng = stream_rng(1, 2)
         snr_db = 3.0
         samples = np.concatenate(
-            [transmit(dark, ch, snr_db, rng).samples for _ in range(4000)]
+            [transmit(dark, ch, snr_db, rng) for _ in range(4000)]
         )
         n0 = noise_variance(snr_db)
         assert abs(np.mean(np.abs(samples) ** 2) - n0) < 0.02 * n0
@@ -86,7 +79,7 @@ class TestTransmit:
         for _ in range(2000):
             ch = sample_channel(cfg, rng)
             rx = transmit(encode(cw, ch, cfg), ch, 40.0, rng, carrier=cw.carrier)
-            values.append(rx.samples[cw.combination[0] - 1].real)
+            values.append(rx[cw.combination[0] - 1].real)
         expected = cfg.n_group * np.sqrt(np.pi) / 2
         assert abs(np.mean(values) - expected) < 0.5
 
@@ -97,10 +90,10 @@ class TestEquivalentChannel:
         cfg = make_config()
         ch = sample_channel(cfg, stream_rng(2, 0))
         eq = precompute_equivalent_channel(ch, cfg)
-        grouped = np.abs(ch.gains).reshape(cfg.n_rx, cfg.n_active, cfg.n_group)
+        grouped = np.abs(ch).reshape(cfg.n_rx, cfg.n_active, cfg.n_group)
         for n in range(cfg.n_rx):
             for i in range(cfg.n_active):
-                entry = eq.tensor[n, i, n]
+                entry = eq[n, i, n, -1]
                 assert abs(entry.imag) < 1e-9
                 assert np.isclose(entry.real, grouped[n, i].sum())
 
@@ -112,7 +105,7 @@ class TestEquivalentChannel:
         for _ in range(10_000):
             ch = sample_channel(cfg, rng)
             eq = precompute_equivalent_channel(ch, cfg)
-            values.append(eq.tensor[0, 0, 1])
+            values.append(eq[0, 0, 1, -1])
         values = np.array(values)
         assert abs(values.mean()) < 0.05 * np.sqrt(cfg.n_group)
         assert abs(values.real.var() - cfg.n_group / 2) < 0.05 * cfg.n_group
@@ -128,7 +121,7 @@ class TestEquivalentChannel:
             cw = cb.codeword(index)
             rx = transmit(encode(cw, ch, cfg), ch, float("inf"), stream_rng(0, 0))
             assert np.allclose(cb.group_waves[cw.symbol_index], cw.symbols)
-            assert np.allclose(predicted[:, cw.row, cw.symbol_index], rx.samples)
+            assert np.allclose(predicted[:, cw.row, cw.symbol_index], rx)
 
     def test_matched_response_reproduces_apsk_transmit(self):
         """Ring-matched response equals the physical signal for partial rings."""
@@ -139,7 +132,7 @@ class TestEquivalentChannel:
         for index in (0, 123, 500):
             cw = cb.codeword(index)
             rx = transmit(encode(cw, ch, cfg), ch, float("inf"), stream_rng(0, 0))
-            assert np.allclose(predicted[:, cw.row, cw.symbol_index], rx.samples)
+            assert np.allclose(predicted[:, cw.row, cw.symbol_index], rx)
 
 
 class TestDetectML:
@@ -174,7 +167,7 @@ class TestDetectML:
         cw = cb.codeword(321)
         rx = transmit(encode(cw, ch, cfg), ch, float("inf"), stream_rng(0, 0))
         predicted = hypothesis_matrix(eq, cb)
-        metric = np.sum(np.abs(rx.samples[:, None, None] - predicted) ** 2, axis=0)
+        metric = np.sum(np.abs(rx[:, None, None] - predicted) ** 2, axis=0)
         assert metric[cw.row, cw.symbol_index] < 1e-18 * cfg.n_group**2
 
     def test_residual_metric_mean_under_noise(self):
@@ -191,7 +184,7 @@ class TestDetectML:
             cw = cb.codeword(17)
             rx = transmit(encode(cw, ch, cfg), ch, snr_db, rng, carrier=cw.carrier)
             truth = hypothesis_matrix(eq, cb)[:, cw.row, cw.symbol_index]
-            residuals.append(np.sum(np.abs(rx.samples - truth) ** 2))
+            residuals.append(np.sum(np.abs(rx - truth) ** 2))
         expected = cfg.n_rx * n0
         assert abs(np.mean(residuals) - expected) < 0.1 * expected
 
@@ -205,9 +198,9 @@ class TestDetectML:
         rx = transmit(encode(cw, ch, cfg), ch, 0.0, stream_rng(4, 4))
         rotation = np.exp(1j * 1.234)
         predicted = hypothesis_matrix(eq, cb)
-        m_base = np.sum(np.abs(rx.samples[:, None, None] - predicted) ** 2, axis=0)
+        m_base = np.sum(np.abs(rx[:, None, None] - predicted) ** 2, axis=0)
         m_rot = np.sum(
-            np.abs(rotation * rx.samples[:, None, None] - rotation * predicted) ** 2, axis=0
+            np.abs(rotation * rx[:, None, None] - rotation * predicted) ** 2, axis=0
         )
         assert np.argmin(m_base.ravel()) == np.argmin(m_rot.ravel())
 
@@ -230,9 +223,7 @@ class TestDetectML:
         cfg = make_config(**kwargs)
         cb = Codebook(cfg)
         dark = np.zeros((cfg.n_rx, cfg.n_active, cfg.n_rx, cfg.ris_rings), dtype=complex)
-        eq = EquivalentChannel(ring_tensor=dark)
-        rx = ReceivedVector(samples=np.zeros(cfg.n_rx, dtype=complex), noise_var=1.0)
-        assert detect_ml(rx, eq, cb).index == 0
+        assert detect_ml(np.zeros(cfg.n_rx, dtype=complex), dark, cb).index == 0
 
     def test_row_tiles_keep_the_first_of_equal_minima(self, monkeypatch):
         """With two rows a tile, rows 2 and 5 (trial 0) and rows 3 and 6
@@ -268,7 +259,7 @@ class TestDetectML:
         cb = Codebook(cfg)
         trials = default_block_size(cfg)
         rng = stream_rng(5, 0)
-        channel = ChannelMatrix(sample_gains((trials, cfg.n_rx, cfg.n_elements), rng))
+        channel = sample_gains((trials, cfg.n_rx, cfg.n_elements), rng)
         equiv = precompute_equivalent_channel(channel, cfg)
         shape = (trials, cfg.n_rx)
         samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -289,7 +280,7 @@ class TestDetectML:
         cb = Codebook(cfg)
         trials = default_block_size(cfg)
         rng = stream_rng(5, 1)
-        channel = ChannelMatrix(sample_gains((trials, cfg.n_rx, cfg.n_elements), rng))
+        channel = sample_gains((trials, cfg.n_rx, cfg.n_elements), rng)
         equiv = precompute_equivalent_channel(channel, cfg)
         shape = (trials, cfg.n_rx)
         samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -345,7 +336,7 @@ def test_factored_argmin_matches_dense_reference(cfg, trials, snr_db):
     rng = stream_rng(cfg.seed, 7)
     index = rng.integers(0, cb.size, size=trials)
     codewords = cb.codeword(index)
-    channel = ChannelMatrix(sample_gains((trials, cfg.n_rx, cfg.n_elements), rng))
+    channel = sample_gains((trials, cfg.n_rx, cfg.n_elements), rng)
     reflection = encode(codewords, channel, cfg)
     equiv = precompute_equivalent_channel(channel, cfg)
     for snr in (snr_db, float("inf")):
@@ -353,8 +344,8 @@ def test_factored_argmin_matches_dense_reference(cfg, trials, snr_db):
             reflection, channel, snr, rng,
             carrier=codewords.carrier, symbol_energy=cfg.symbol_energy,
         )
-        detected = ml_argmin(received.samples, equiv, cb)
-        dense = dense_ml_argmin(received.samples, hypothesis_matrix(equiv, cb))
+        detected = ml_argmin(received, equiv, cb)
+        dense = dense_ml_argmin(received, hypothesis_matrix(equiv, cb))
         assert np.array_equal(detected, dense)
     assert np.array_equal(detected, index)
 
@@ -380,12 +371,12 @@ def test_feature_table_gives_the_metric(cfg, trials, snr_db):
     rng = stream_rng(cfg.seed, 8)
     lead = (trials,) if trials else ()
     codewords = cb.codeword(rng.integers(0, cb.size, size=lead))
-    channel = ChannelMatrix(sample_gains(lead + (cfg.n_rx, cfg.n_elements), rng))
+    channel = sample_gains(lead + (cfg.n_rx, cfg.n_elements), rng)
     equiv = precompute_equivalent_channel(channel, cfg)
     samples = transmit(
         encode(codewords, channel, cfg), channel, snr_db, rng,
         carrier=codewords.carrier, symbol_energy=cfg.symbol_energy,
-    ).samples
+    )
     metric = _metric_features(samples, equiv, cb) @ _search_plan(cb).table
     hypotheses = hypothesis_matrix(equiv, cb)
     y = samples[..., None, None]

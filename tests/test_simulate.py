@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ris_rgsm import (
-    ChannelMatrix,
     Codebook,
     ConfigError,
     SweepManifest,
@@ -30,7 +29,6 @@ from ris_rgsm import (
 )
 from ris_rgsm.channel import sample_gains, stream_rng
 from ris_rgsm.detector import (
-    ReceivedVector,
     count_bit_errors,
     detect_ml,
     hypothesis_matrix,
@@ -255,7 +253,7 @@ def test_sweep_block_matches_per_trial_calls(kwargs):
     rng = stream_rng(cfg.seed, _snr_stream_key(snr_db), block_index)
     bits = rng.integers(0, 2, size=(size, cfg.rate), dtype=np.uint8)
     codewords = cb.map_bits(bits)
-    channel = ChannelMatrix(sample_gains((size, cfg.n_rx, cfg.n_elements), rng))
+    channel = sample_gains((size, cfg.n_rx, cfg.n_elements), rng)
     reflection = encode(codewords, channel, cfg)
     received = transmit(
         reflection, channel, snr_db, rng,
@@ -263,8 +261,8 @@ def test_sweep_block_matches_per_trial_calls(kwargs):
     )
     equiv = precompute_equivalent_channel(channel, cfg)
     hypotheses = hypothesis_matrix(equiv, cb)
-    detected = ml_argmin(received.samples, equiv, cb)
-    assert np.array_equal(detected, dense_ml_argmin(received.samples, hypotheses))
+    detected = ml_argmin(received, equiv, cb)
+    assert np.array_equal(detected, dense_ml_argmin(received, hypotheses))
     counts = count_bit_errors(bits, int_to_bits(detected, cfg.rate), cfg.spatial_bits)
     assert (size, *counts) == _block_counts(cfg, snr_db, block_index, size)
     assert counts.total > 0
@@ -272,22 +270,20 @@ def test_sweep_block_matches_per_trial_calls(kwargs):
     noiseless = transmit(
         reflection, channel, float("inf"), None,
         carrier=codewords.carrier, symbol_energy=cfg.symbol_energy,
-    ).samples
+    )
     for t in range(size):
         cw = cb.map_bits(bits[t])
-        ch = ChannelMatrix(channel.gains[t])
+        ch = channel[t]
         refl = encode(cw, ch, cfg)
         assert np.array_equal(refl.coefficients, reflection.coefficients[t])
         clean = transmit(
             refl, ch, float("inf"), None, carrier=cw.carrier, symbol_energy=cfg.symbol_energy
-        ).samples
+        )
         assert np.allclose(clean, noiseless[t], rtol=1e-13, atol=0)
         eq = precompute_equivalent_channel(ch, cfg)
-        assert np.array_equal(eq.ring_tensor, equiv.ring_tensor[t])
-        assert np.array_equal(eq.tensor, equiv.tensor[t])
+        assert np.array_equal(eq, equiv[t])
         assert np.array_equal(hypothesis_matrix(eq, cb), hypotheses[t])
-        rx = ReceivedVector(samples=received.samples[t], noise_var=received.noise_var)
-        assert detect_ml(rx, eq, cb).index == detected[t]
+        assert detect_ml(received[t], eq, cb).index == detected[t]
 
 
 # trial and row tiles, per config: one row a tile, three rows a tile (both
@@ -524,6 +520,14 @@ class TestCompare:
         )
         with pytest.raises(ConfigError, match="equal-rate"):
             compare(manifest, kind="theory")
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.nan, 1.0, 2.0])
+    def test_target_ber_outside_unit_interval(self, monkeypatch, target):
+        """Refused before any curve runs."""
+        monkeypatch.setattr(simulate, "run_theory", None)
+        manifest = SweepManifest(entries=(("a", small_config()),))
+        with pytest.raises(ConfigError, match="target_ber"):
+            compare(manifest, kind="theory", target_ber=target)
 
     def test_theory_compare_produces_gaps(self):
         shared = dict(n_elements=64, snr_grid_db=(-26.0, -22.0, -18.0, -14.0))
