@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Any
@@ -404,10 +405,26 @@ def load_config_or_manifest(path) -> SystemConfig | SweepManifest:
     return config_from_mapping(data)
 
 
+# the longest file name, in bytes, that common file systems such as ext4 accept
+_NAME_BYTES = 255
+
+
 def _checked_label(label: str) -> str:
-    """A curve label that names its output files inside the output directory."""
+    """A curve label that names its output files inside the output directory,
+    each a file name that the file system accepts and no other output uses."""
     if label in ("", ".", "..") or "/" in label or "\\" in label:
         raise ConfigError(f"label {label!r} is empty, '.', '..' or holds a path separator")
+    if "\0" in label:
+        raise ConfigError(f"label {label!r} holds a NUL byte")
+    if label == "plotdata":
+        raise ConfigError("label 'plotdata' would overwrite compare's plotdata.csv")
+    # the longest output name is the theory command's <label>_theory.csv
+    size = len(os.fsencode(label + "_theory.csv"))
+    if size > _NAME_BYTES:
+        raise ConfigError(
+            f"label {label[:16]!r}... makes the {size}-byte file name "
+            f"<label>_theory.csv; file names hold at most {_NAME_BYTES} bytes"
+        )
     return label
 
 

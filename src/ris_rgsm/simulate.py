@@ -2,9 +2,9 @@
 
 Trials are processed in fixed-size blocks; each block draws every random
 quantity (bits, channel, noise) from its own counter-based stream keyed by
-``(seed, snr_key, block_index)``.  Blocks are scheduled in deterministic
-waves and the stopping rule is applied by scanning block results in index
-order, so a sweep is bit-identical for any worker count.
+``(seed, snr_key, block_index)``.  Block results arrive as one stream in
+block order, whichever worker ran them, and the stopping rule scans that
+stream, so a sweep is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
@@ -35,8 +36,6 @@ from .mapping import Codebook, int_to_bits
 from .theory import check_pair_ceiling, union_bound_ber
 
 UNRELIABLE_ERROR_COUNT = 10
-_WAVE_SIZES = (1, 1, 2, 4, 8, 16, 32)
-_MAX_WAVE = 64
 
 CSV_HEADER = [
     "snr_db",
@@ -129,47 +128,41 @@ def _block_job(payload):
     return _block_counts(*payload)
 
 
-def _wave_plan(n_blocks: int):
-    consumed = 0
-    for size in _WAVE_SIZES:
-        if consumed >= n_blocks:
-            return
-        take = min(size, n_blocks - consumed)
-        yield range(consumed, consumed + take)
-        consumed += take
-    while consumed < n_blocks:
-        take = min(_MAX_WAVE, n_blocks - consumed)
-        yield range(consumed, consumed + take)
-        consumed += take
+def _block_results(payloads, executor, in_flight):
+    """Yield the blocks' results in block order: lazily without a pool, else
+    from at most ``in_flight`` submitted blocks.  Closing the generator (the
+    stop rule fired) or a block's exception cancels the blocks still queued.
+    """
+    if executor is None:
+        yield from map(_block_job, payloads)
+        return
+    pending = []
+    try:
+        for payload in payloads:
+            pending.append(executor.submit(_block_job, payload))
+            if len(pending) == in_flight:
+                yield pending.pop(0).result()
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
-def _sweep_point(config, snr_db, executor, block_size) -> BerPoint:
+def _sweep_point(config, snr_db, executor, in_flight, block_size) -> BerPoint:
     start = time.perf_counter()
-    n_blocks = math.ceil(config.trials / block_size)
-    sizes = [block_size] * n_blocks
-    sizes[-1] = config.trials - block_size * (n_blocks - 1)
-
-    trials = errors = spatial = symbol = 0
-    stop = False
-    for wave in _wave_plan(n_blocks):
-        payloads = [(config, snr_db, b, sizes[b]) for b in wave]
-        if executor is None:
-            # lazy: a block runs only once the scan reaches it, so no block
-            # past the stopping one is computed
-            results = map(_block_job, payloads)
-        else:
-            results = list(executor.map(_block_job, payloads))
-        for result in results:  # scan in block order: stop rule is worker-independent
-            trials += result[0]
-            errors += result[1]
-            spatial += result[2]
-            symbol += result[3]
-            if errors >= config.max_bit_errors:
-                stop = True
+    payloads = (
+        (config, snr_db, b, min(block_size, config.trials - b * block_size))
+        for b in range(math.ceil(config.trials / block_size))
+    )
+    totals = np.zeros(4, dtype=np.int64)  # trials, errors, spatial, symbol
+    # scanned in block order, so the stop rule is worker-independent
+    with closing(_block_results(payloads, executor, in_flight)) as results:
+        for result in results:
+            totals += result
+            if totals[1] >= config.max_bit_errors:
                 break
-        if stop:
-            break
-
+    trials, errors, spatial, symbol = totals.tolist()
     ber = errors / (trials * config.rate)
     flag = "ok" if errors >= UNRELIABLE_ERROR_COUNT else "unreliable"
     return BerPoint(
@@ -197,9 +190,10 @@ def run_simulation(config: SystemConfig, *, workers: int = 1, label: str = "") -
     block = default_block_size(config)
     points = []
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    in_flight = 2 * workers  # keeps workers busy while the scan waits on the oldest
     try:
         for snr in sorted(config.snr_grid_db):
-            points.append(_sweep_point(config, snr, executor, block))
+            points.append(_sweep_point(config, snr, executor, in_flight, block))
     finally:
         if executor is not None:
             executor.shutdown()

@@ -321,6 +321,12 @@ class TestCompareCommand:
         assert main(["compare", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
 
 
+# labels whose output files would overwrite another output or that no file
+# system accepts: a NUL byte, or <label>_theory.csv over 255 bytes
+UNUSABLE_LABELS = ["plotdata", "a\0b", "x" * 300, "x" * 245]
+UNUSABLE_IDS = ["plotdata", "nul", "300-bytes", "245-bytes"]
+
+
 def files_under(path):
     return sorted(p.relative_to(path) for p in path.rglob("*"))
 
@@ -360,6 +366,26 @@ class TestRefusalsWriteNothing:
         assert f"label {label!r}" in capsys.readouterr().err
         assert files_under(tmp_path) == [Path("manifest.yaml")]
 
+    @pytest.mark.parametrize("label", UNUSABLE_LABELS, ids=UNUSABLE_IDS)
+    @pytest.mark.parametrize("command", ["simulate", "theory"])
+    def test_label_no_file_can_take(self, good_config, tmp_path, capsys, command, label):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-c", str(good_config), "-o", str(tmp_path / "o"), "--label", label])
+        assert exc.value.code == 2
+        assert "--label" in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("config.yaml")]
+
+    @pytest.mark.parametrize("label", UNUSABLE_LABELS, ids=UNUSABLE_IDS)
+    def test_manifest_label_no_file_can_take(self, tmp_path, capsys, label):
+        """``plotdata`` would lose its curve's CSV to ``plotdata.csv``; a NUL
+        byte or a name over 255 bytes would fail after earlier curves' files."""
+        path = tmp_path / "manifest.yaml"
+        path.write_text(MANIFEST.replace("{label: n32,", f"{{label: {json.dumps(label)},"))
+        argv = ["compare", "--kind", "theory", "--mode", "free", "-c", str(path)]
+        assert main(argv + ["-o", str(tmp_path / "o")]) == 2
+        assert "config error: label" in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("manifest.yaml")]
+
     @pytest.mark.parametrize("target", ["0", "-1", "nan", "2", "1"])
     def test_target_ber_outside_unit_interval(self, tmp_path, capsys, target):
         path = tmp_path / "manifest.yaml"
@@ -369,6 +395,13 @@ class TestRefusalsWriteNothing:
         assert main(argv) == 2
         assert "target_ber" in capsys.readouterr().err
         assert files_under(tmp_path) == [Path("manifest.yaml")]
+
+
+def test_longest_label_is_written(good_config, tmp_path):
+    """The longest label the check admits names a file the file system takes."""
+    label = "x" * 244
+    assert main(["theory", "-c", str(good_config), "-o", str(tmp_path), "--label", label]) == 0
+    assert (tmp_path / f"{label}_theory.csv").is_file()
 
 
 def test_parser_built_once_per_process(good_config, capsys):

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from ris_rgsm import ConfigError, Scheme, SystemConfig, load_config, load_manifest
-from ris_rgsm.config import _read_yaml
+from ris_rgsm.config import _checked_label, _read_yaml
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -281,3 +281,12 @@ class TestConfigFiles:
         )
         with pytest.raises(ConfigError, match="label"):
             load_manifest(path)
+
+    def test_label_byte_limit(self):
+        """A label fits while its longest output name, ``<label>_theory.csv``,
+        fits in 255 bytes: 244 bytes of label, counted in UTF-8."""
+        for fits in ("x" * 244, "é" * 122):
+            assert _checked_label(fits) == fits
+        for too_long in ("x" * 245, "é" * 123):
+            with pytest.raises(ConfigError, match="at most 255 bytes"):
+                _checked_label(too_long)

@@ -3,8 +3,12 @@
 import csv
 import json
 import math
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,8 +52,8 @@ from ris_rgsm.simulate import (
     CSV_HEADER,
     _block_counts,
     _block_job,
+    _block_results,
     _snr_stream_key,
-    _wave_plan,
     default_block_size,
 )
 
@@ -105,8 +109,7 @@ class TestSweepEngine:
             )
 
     def test_serial_sweep_runs_only_the_blocks_it_uses(self, monkeypatch):
-        """Serially, no block past the one that reaches the error cap runs,
-        even when the cap falls inside a wave."""
+        """Serially, no block past the one that reaches the error cap runs."""
         calls = []
 
         def counting_job(payload):
@@ -118,9 +121,26 @@ class TestSweepEngine:
         cfg = small_config(snr_grid_db=(-30.0,), trials=100_000, max_bit_errors=70)
         point = run_simulation(cfg).points[0]
         used = math.ceil(point.trials / 16)
-        wave = next(w for w in _wave_plan(math.ceil(cfg.trials / 16)) if used - 1 in w)
-        assert used < wave.stop
         assert calls == list(range(used))
+
+    def test_pooled_sweep_stops_within_the_in_flight_window(self, monkeypatch):
+        """With a pool, blocks past the stopping one run only inside the
+        window of 2 * workers submitted blocks, and the point is the serial one."""
+        calls = []
+
+        def counting_job(payload):
+            calls.append(payload[2])
+            return _block_job(payload)
+
+        monkeypatch.setattr(simulate, "default_block_size", lambda config: 16)
+        cfg = small_config(snr_grid_db=(-30.0,), trials=100_000, max_bit_errors=70)
+        serial = run_simulation(cfg).points[0]
+        monkeypatch.setattr(simulate, "_block_job", counting_job)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", ThreadPoolExecutor)
+        pooled = run_simulation(cfg, workers=2).points[0]
+        used = math.ceil(pooled.trials / 16)
+        assert (pooled.trials, pooled.bit_errors) == (serial.trials, serial.bit_errors)
+        assert set(range(used)) <= set(calls) <= set(range(used + 2 * 2 - 1))
 
     def test_block_size_does_not_change_full_sweep(self, monkeypatch):
         """With the trial cap reached, block partitioning is irrelevant."""
@@ -364,6 +384,83 @@ def test_rate15_block_working_set():
     assert (cfg.rate, trials, trials * 8 * 2**cfg.rate) == (15, 32, 8 * 2**20)
     whole = trials * (cfg.rate + 16 * (cfg.n_rx * cfg.n_elements + cfg.n_elements + cfg.n_rx))
     assert block_peak(cfg, -10.0, trials) < detector._TILE_BYTES + whole
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """A thread pool standing in for the process pool: it keeps every future,
+    and per submit the number of blocks submitted and not yet received."""
+
+    def __init__(self, workers):
+        super().__init__(max_workers=workers)
+        self.futures, self.windows, self.received = [], [], 0
+
+    def submit(self, fn, *args):
+        self.windows.append(len(self.futures) + 1 - self.received)
+        self.futures.append(super().submit(fn, *args))
+        return self.futures[-1]
+
+
+class TestBlockStream:
+    """``_block_results`` on a pool of 2 workers, so 4 blocks in flight;
+    a payload is the block's index, and the job records which blocks start."""
+
+    @pytest.fixture
+    def pool(self):
+        pool = RecordingPool(2)
+        yield pool
+        pool.shutdown(wait=True, cancel_futures=True)
+
+    @pytest.fixture
+    def gate(self, monkeypatch):
+        """Blocks from 1 on wait until ``gate.open`` is set; block ``gate.fail``
+        raises."""
+        gate = SimpleNamespace(open=threading.Event(), started=[], fail=None)
+
+        def job(index):
+            gate.started.append(index)
+            if index == gate.fail:
+                raise RuntimeError(f"block {index}")
+            if index >= 1:
+                gate.open.wait(5.0)
+            return index
+
+        monkeypatch.setattr(simulate, "_block_job", job)
+        yield gate
+        gate.open.set()
+
+    def test_results_in_block_order_within_the_window(self, pool, monkeypatch):
+        def job(index):  # later blocks finish first
+            time.sleep(0.001 * (12 - index))
+            return index
+
+        monkeypatch.setattr(simulate, "_block_job", job)
+        results = []
+        for result in _block_results(iter(range(12)), pool, 4):
+            results.append(result)
+            pool.received += 1
+        assert results == list(range(12))
+        assert max(pool.windows) == 4
+
+    def test_close_cancels_the_queued_blocks(self, pool, gate):
+        stream = _block_results(iter(range(100)), pool, 4)
+        assert next(stream) == 0  # the stopping block
+        stream.close()
+        assert len(pool.futures) == 4
+        assert pool.futures[3].cancelled()
+        gate.open.set()
+        pool.shutdown(wait=True)
+        assert set(gate.started) <= {0, 1, 2}
+
+    def test_block_exception_reaches_the_caller_and_cancels_the_rest(self, pool, gate):
+        gate.fail = 1
+        stream = _block_results(iter(range(100)), pool, 4)
+        with pytest.raises(RuntimeError, match="block 1"):
+            list(stream)
+        assert len(pool.futures) == 5
+        assert pool.futures[4].cancelled()
+        gate.open.set()
+        pool.shutdown(wait=True)
+        assert 4 not in gate.started
 
 
 class TestTheorySweep:
