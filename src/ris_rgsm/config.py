@@ -51,6 +51,17 @@ def _plain_int(value):
     return int(value) if _is_integer(value) else value
 
 
+# largest |snr_db|: past about 3000 dB the noise variance 10**(-snr_db/10)
+# and the bound's MGF arguments leave the float range
+_SNR_LIMIT_DB = 300.0
+
+
+def _snr_stream_key(snr_db: float) -> int:
+    """Key of an SNR point's random streams: the SNR in 0.001 dB steps, as an
+    unsigned 32-bit integer (distinct for distinct steps within the limit)."""
+    return int(round(snr_db * 1000.0)) & 0xFFFFFFFF
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Full parameterization of one scheme instance.
@@ -192,8 +203,22 @@ class SystemConfig:
             raise ConfigError(f"symbol_energy must be a real number, got {energy!r}")
         if not math.isfinite(energy):
             raise ConfigError(f"symbol_energy must be finite, got {energy!r}")
-        if not all(map(math.isfinite, self.snr_grid_db or ())):
-            raise ConfigError(f"snr_db values must be finite, got {list(self.snr_grid_db)}")
+        grid = self.snr_grid_db or ()
+        if not all(map(math.isfinite, grid)):
+            raise ConfigError(f"snr_db values must be finite, got {list(grid)}")
+        if any(abs(snr) > _SNR_LIMIT_DB for snr in grid):
+            raise ConfigError(
+                f"snr_db values must lie within +-{_SNR_LIMIT_DB:g} dB, got {list(grid)}"
+            )
+        streams: dict[int, float] = {}
+        for snr in grid:
+            key = _snr_stream_key(snr)
+            if key in streams:
+                raise ConfigError(
+                    f"snr_db values {streams[key]!r} and {snr!r} round to the same "
+                    "0.001 dB step, so they would share every random draw"
+                )
+            streams[key] = snr
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.stagger is not None and not isinstance(self.stagger, bool):

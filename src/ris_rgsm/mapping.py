@@ -27,12 +27,13 @@ def gray_encode(index: int) -> int:
     return index ^ (index >> 1)
 
 
-def gray_decode(code: int) -> int:
-    """Gray code -> binary index."""
-    index = 0
-    while code:
-        index ^= code
-        code >>= 1
+def gray_decode(code):
+    """Gray code -> binary index, elementwise over an integer array."""
+    index = code
+    code = code >> 1
+    while np.any(code):
+        index = index ^ code
+        code = code >> 1
     return index
 
 
@@ -46,18 +47,24 @@ def int_to_bits(value, width: int) -> np.ndarray:
 # -- constellations ------------------------------------------------------------
 
 
+def _label_geometry(order: int, rings: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``(phase index, 1-based ring)`` of every label of an ``order``-point
+    constellation on ``rings`` rings: the high label bits Gray-code the
+    phase index, the low ``log2(rings)`` bits are the natural ring index."""
+    labels = np.arange(order)
+    return gray_decode(labels >> (rings.bit_length() - 1)), (labels & (rings - 1)) + 1
+
+
 def psk_constellation(order: int) -> np.ndarray:
     """Gray-labeled unit-circle points, indexed by bit label."""
-    labels = np.arange(order)
-    indices = np.array([gray_decode(v) for v in labels])
-    return np.exp(2j * np.pi * indices / order)
+    phase, _ = _label_geometry(order)
+    return np.exp(2j * np.pi * phase / order)
 
 
 def _gray_pam(levels_bits: int) -> np.ndarray:
     # Gray-labeled odd-integer PAM levels -(L-1) .. (L-1), indexed by label.
     count = 1 << levels_bits
-    indices = np.array([gray_decode(v) for v in range(count)])
-    return 2.0 * indices - (count - 1)
+    return 2.0 * gray_decode(np.arange(count)) - (count - 1)
 
 
 def qam_constellation(order: int) -> np.ndarray:
@@ -86,17 +93,10 @@ def ring_constellation(order: int, rings: int) -> np.ndarray:
 
     Ring ``k`` (1-based) has radius ``k/rings`` and carries ``order/rings``
     evenly spaced phases; the result is scaled to unit average energy.
-    Labels follow the per-group symbol convention: high bits Gray-code the
-    phase index, low bits are the natural ring index.
+    Labels follow the per-group symbol convention of :func:`_label_geometry`.
     """
-    phase_order = order // rings
-    ring_bits = rings.bit_length() - 1
-    points = np.empty(order, dtype=complex)
-    for label in range(order):
-        phase_label = label >> ring_bits
-        ring = (label & (rings - 1)) + 1
-        k = gray_decode(phase_label)
-        points[label] = (ring / rings) * np.exp(2j * np.pi * k / phase_order)
+    phase, ring = _label_geometry(order, rings)
+    points = (ring / rings) * np.exp(2j * np.pi * phase / (order // rings))
     return points / np.sqrt(np.mean(np.abs(points) ** 2))
 
 
@@ -215,20 +215,11 @@ class Codebook:
             m = cfg.mod_order
             count = m**n_a
             labels = np.arange(count)[:, None] // self.label_symbols[1] % m
-            # one table entry per group label, then looked up per position:
-            # Gray-coded phase labels, natural-binary 0-based ring labels
-            v = np.arange(m)
-            if cfg.scheme is Scheme.MUX_PSK:
-                k = np.array([gray_decode(int(u)) for u in v])
-                phase_of = 2.0 * np.pi * k / m
-                rho_of = np.ones(m)
-                active_of = np.full(m, n_g, dtype=np.int64)
-            else:
-                k = np.array([gray_decode(int(u)) for u in v >> cfg.ring_bits])
-                ring = (v & (cfg.ring_count - 1)) + 1
-                phase_of = 2.0 * np.pi * k / cfg.phase_order
-                rho_of = ring / cfg.ring_count
-                active_of = ring * (n_g // cfg.ring_count)
+            # one table entry per group label, then looked up per position
+            k, ring = _label_geometry(m, cfg.ring_count)
+            phase_of = 2.0 * np.pi * k / cfg.phase_order
+            rho_of = ring / cfg.ring_count
+            active_of = ring * (n_g // cfg.ring_count)
             phases = phase_of[labels] + stagger_offsets(cfg)[None, :]
             rho, active = rho_of[labels], active_of[labels]
             symbols = amp * rho * np.exp(1j * phases)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .channel import sample_gains, stream_rng
-from .config import ConfigError, SweepManifest, SystemConfig
+from .config import ConfigError, SweepManifest, SystemConfig, _snr_stream_key
 from .detector import (
     count_bit_errors,
     ml_argmin,
@@ -83,10 +83,6 @@ class BerCurve:
 @lru_cache(maxsize=8)
 def _cached_codebook(config: SystemConfig) -> Codebook:
     return Codebook(config)
-
-
-def _snr_stream_key(snr_db: float) -> int:
-    return int(round(snr_db * 1000.0)) & 0xFFFFFFFF
 
 
 def default_block_size(config: SystemConfig) -> int:

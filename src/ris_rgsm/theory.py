@@ -57,17 +57,19 @@ exactly, without visiting the pairs one by one:
 * a symbol label is a concatenation of independent factor labels (one per
   group for MUX, one shared label for diversity and RGSSK), so each factor's
   label pairs are grouped by key, and the MGF is evaluated once per tuple
-  of factor keys, weighted by its pair count and label Hamming sum;
+  of factor keys;
 * one sort per factor groups its label pairs by all of their keys
   (:func:`_fine_keys`), and each layout's keys regroup that table
-  (:func:`_coarse_keys`).
+  (:func:`_regroup`).
 
 The key tuples of every layout form one flat batch of slots
 (:func:`_slot_batch`), built once per codebook together with the row-pair
-signatures (:func:`_noise_free_batch`).  An SNR point then evaluates
-the idle antennas' closed form once, :func:`_block_log_mgf` once for all
-matched and once for all swap blocks, and ``exp`` once
-(:func:`_bound_sums`).
+signatures (:func:`_noise_free_batch`).  A slot's bit-error weight, summed
+over the ordered pairs it stands for, does not depend on the noise, so the
+batch stores one weight per slot.  An SNR point is then one weighted sum
+(:func:`_bound_sum`): the idle antennas' closed form once,
+:func:`_block_log_mgf` once for all matched and once for all swap blocks,
+``exp`` once, and the weights.
 """
 
 from __future__ import annotations
@@ -440,47 +442,38 @@ def _groups(keys: np.ndarray, *ties):
     return group, order[first]
 
 
+def _regroup(table: _FactorKeys, rows) -> _FactorKeys:
+    """Group the columns of ``table`` by its key ``rows``; the earliest label
+    pair of each group represents it, and counts and Hamming sums add up."""
+    keys = table.keys[rows]
+    group, first = _groups(keys, table.first)
+    return _FactorKeys(
+        keys=keys[:, first],
+        first=table.first[first],
+        s=table.s[first],
+        s_hat=table.s_hat[first],
+        count=np.bincount(group, weights=table.count),
+        hamming=np.bincount(group, weights=table.hamming),
+    )
+
+
 def _fine_keys(symbols: np.ndarray) -> _FactorKeys:
     """Group a factor's ``(M, M)`` label pairs by the key rows
     ``[|s - s_hat|**2, |s|**2, |s_hat|**2]``, quantized on one grid.  Every
-    layout's coarser keys are functions of these (:func:`_coarse_keys`)."""
+    layout's coarser keys are functions of these (:func:`_slot_batch`)."""
     m = symbols.size
     s, s_hat = np.repeat(symbols, m), np.tile(symbols, m)
     labels = np.arange(m)
-    hamming = _popcount(np.repeat(labels, m) ^ np.tile(labels, m))
     keys = np.stack([np.abs(s - s_hat) ** 2, np.abs(s) ** 2, np.abs(s_hat) ** 2])
-    keys = np.round(keys / (_KEY_RESOLUTION * max(float(keys.max()), 1e-300)))
-    group, first = _groups(keys)
-    return _FactorKeys(
-        keys=keys[:, first],
-        first=first,
-        s=s[first],
-        s_hat=s_hat[first],
-        count=np.bincount(group),
-        hamming=np.bincount(group, weights=hamming),
+    pairs = _FactorKeys(
+        keys=np.round(keys / (_KEY_RESOLUTION * max(float(keys.max()), 1e-300))),
+        first=np.arange(m * m),
+        s=s,
+        s_hat=s_hat,
+        count=np.ones(m * m),
+        hamming=_popcount(np.repeat(labels, m) ^ np.tile(labels, m)),
     )
-
-
-def _coarse_keys(fine: _FactorKeys, matched) -> _FactorKeys:
-    """Regroup a factor's fine keys to its blocks' keys in a layout that
-    matches the factor's positions where ``matched`` is true.
-
-    A matched position's blocks see its symbols only through ``|s - s_hat|``
-    and a swapped position's only through ``(|s|, |s_hat|)``: rotating each
-    antenna's plane by the phase of its own symbol leaves ``||Z||^2``
-    unchanged.  Pairs with equal keys at every position share one MGF; the
-    first label pair of each coarse group represents it.
-    """
-    used = list(dict.fromkeys(r for flag in matched for r in ((0,) if flag else (1, 2))))
-    group, first = _groups(fine.keys[used], fine.first)
-    return _FactorKeys(
-        keys=fine.keys[used][:, first],
-        first=fine.first[first],
-        s=fine.s[first],
-        s_hat=fine.s_hat[first],
-        count=np.bincount(group, weights=fine.count),
-        hamming=np.bincount(group, weights=fine.hamming),
-    )
+    return _regroup(pairs, [0, 1, 2])
 
 
 class _SlotBatch(NamedTuple):
@@ -493,35 +486,41 @@ class _SlotBatch(NamedTuple):
 
     n_group: int
     n_positions: int
-    ends: tuple[int, ...]  # end of each layout's slots
     total: np.ndarray  # (G,) summed position weights
-    count: np.ndarray  # (G,) symbol pairs of the slot
-    hamming: np.ndarray  # (G,) their summed label Hamming distance
+    weight: np.ndarray  # (G,) summed bit errors of the ordered pairs of the slot
     idle: np.ndarray  # (G,) idle antennas
-    matched: tuple  # (block index, |s - s_hat|, total) of matched blocks
-    swapped: tuple  # (block index, |s|, |s_hat|, total) of swap blocks
+    matched: tuple  # (block index, |s - s_hat|) of matched blocks
+    swapped: tuple  # (block index, |s|, |s_hat|) of swap blocks
 
 
-def _slot_batch(codebook: Codebook, layouts) -> _SlotBatch:
-    """Flatten the key grids of the layouts whose matched positions are
-    ``layouts`` into one batch of slots.
+def _slot_batch(codebook: Codebook, signatures) -> _SlotBatch:
+    """Flatten the key grids of the layouts of ``signatures`` into one batch
+    of slots.
 
-    In a layout each label factor's keys lie along its own axis; the pair
-    count of a slot is the product of the factors' counts and its Hamming
-    sum ``sum_f h_f prod_{g != f} n_g``.  Each factor has one fine key table
-    and one coarse table per pattern of matched positions.
+    ``signatures`` maps a layout's matched positions to its ``(row pairs,
+    summed spatial Hamming distance)`` (:func:`_row_pair_signatures`).  In a
+    layout each label factor's keys lie along its own axis; the symbol pair
+    count of a slot is the product of the factors' counts ``n_f`` and its
+    label Hamming sum ``sum_f h_f prod_{g != f} n_g``.  Every row pair of
+    the layout meets every symbol pair of the slot, so the slot's weight is
+    ``spatial sum * count + row pairs * label Hamming sum``.  Each factor
+    has one fine key table and one coarse table per pattern of matched
+    positions, which keeps key row 0 (``|s - s_hat|``) of a matched
+    position and rows 1, 2 (``|s|``, ``|s_hat|``) of a swapped one.
     """
     cfg = codebook.config
     factors = [(positions, _fine_keys(symbols)) for positions, symbols in _label_factors(codebook)]
     coarse: dict[tuple, _FactorKeys] = {}
-    totals, counts, hammings, idle, ends = [], [], [], [], []  # per layout
-    matched, swapped = [], []  # per layout and position: (block index, arguments, total)
-    for correct in layouts:
+    totals, weights, idle = [], [], []  # per layout
+    matched, swapped = [], []  # per layout and position: (block index, arguments)
+    size = 0
+    for correct, (row_pairs, spatial) in signatures.items():
         keys = []
         for f, (positions, fine) in enumerate(factors):
             flags = tuple(l in correct for l in positions)
             if (f, flags) not in coarse:
-                coarse[f, flags] = _coarse_keys(fine, flags)
+                rows = dict.fromkeys(r for flag in flags for r in ((0,) if flag else (1, 2)))
+                coarse[f, flags] = _regroup(fine, list(rows))
             keys.append(coarse[f, flags])
         shape = [key.count.size for key in keys]
         slots = np.unravel_index(np.arange(math.prod(shape)), shape)
@@ -541,36 +540,34 @@ def _slot_batch(codebook: Codebook, layouts) -> _SlotBatch:
                     mod, mod_hat = np.abs(key.s[i]), np.abs(key.s_hat[i])
                     total = total + mod**2 + mod_hat**2
                     blocks[l] = (mod, mod_hat)
-        offset = ends[-1] if ends else 0
-        index = (offset + np.arange(total.size)) * cfg.n_active
+        index = (size + np.arange(total.size)) * cfg.n_active
         for l, arguments in enumerate(blocks):
-            (matched if l in correct else swapped).append((index + l, *arguments, total))
+            (matched if l in correct else swapped).append((index + l, *arguments))
         totals.append(total)
-        counts.append(count)
-        hammings.append(hamming)
+        # same-codeword pairs have zero Hamming weight (and a same-row
+        # signature zero spatial weight), so they drop out by themselves
+        weights.append(spatial * count + row_pairs * hamming)
         idle.append(np.full(total.size, cfg.n_rx - 2 * cfg.n_active + len(correct)))
-        ends.append(offset + total.size)
+        size += total.size
 
     def stacked(blocks, arguments):
         if not blocks:
-            return (np.zeros(0, dtype=np.int64),) + (np.zeros(0),) * (arguments + 1)
+            return (np.zeros(0, dtype=np.int64),) + (np.zeros(0),) * arguments
         return tuple(np.concatenate(column) for column in zip(*blocks))
 
     return _SlotBatch(
         n_group=cfg.n_group,
         n_positions=cfg.n_active,
-        ends=tuple(ends),
         total=np.concatenate(totals),
-        count=np.concatenate(counts),
-        hamming=np.concatenate(hammings),
+        weight=np.concatenate(weights),
         idle=np.concatenate(idle),
         matched=stacked(matched, 1),
         swapped=stacked(swapped, 2),
     )
 
 
-def _bound_sums(batch: _SlotBatch, noise_var: float) -> list[tuple[float, float]]:
-    """``(sum B, sum B * symbol Hamming)`` over every layout of the batch.
+def _bound_sum(batch: _SlotBatch, noise_var: float) -> float:
+    """``sum weight * B`` over the slots of the batch.
 
     ``B`` is the three-term bound of one symbol pair.  One closed form
     covers the idle antennas of every slot and one :func:`_block_log_mgf`
@@ -589,29 +586,23 @@ def _bound_sums(batch: _SlotBatch, noise_var: float) -> list[tuple[float, float]
             raise MgfDomainError(f"argument x={x.ravel()} leaves the idle antennas indefinite")
         log_m[:, idle] = -batch.idle[idle] * np.log(edge)
     blocks = np.empty((x.size, size * batch.n_positions))
-    index, delta, total = batch.matched
+    index, delta = batch.matched
     if index.size:
+        total = batch.total[index // batch.n_positions]
         blocks[:, index] = _block_log_mgf(*_matched_entries(delta, total, n_g), x)
-    index, mod, mod_hat, total = batch.swapped
+    index, mod, mod_hat = batch.swapped
     if index.size:
+        total = batch.total[index // batch.n_positions]
         blocks[:, index] = _block_log_mgf(*_swap_entries(mod, mod_hat, total, n_g), x)
     blocks = blocks.reshape(x.size, size, batch.n_positions)
     for l in range(batch.n_positions):
         log_m = log_m + blocks[..., l]
-    bound = 0.0
-    for weight, values in zip(BOUND_WEIGHTS, np.exp(log_m)):
-        bound = bound + weight * values
-    weighted = batch.count * bound, batch.hamming * bound
-    starts = (0,) + batch.ends[:-1]
-    return [
-        (float(np.sum(weighted[0][a:b])), float(np.sum(weighted[1][a:b])))
-        for a, b in zip(starts, batch.ends)
-    ]
+    return float(BOUND_WEIGHTS @ np.exp(log_m) @ batch.weight)
 
 
 def _noise_free_batch(codebook: Codebook):
-    """``(signatures, skipped row pairs, slot batch)`` of a codebook: every
-    input of the bound that does not depend on the noise.
+    """``(signature count, skipped row pairs, slot batch)`` of a codebook:
+    every input of the bound that does not depend on the noise.
 
     Built at the first call and kept on the codebook, so it lives exactly as
     long as the codebook does.
@@ -621,7 +612,7 @@ def _noise_free_batch(codebook: Codebook):
         # a pair's statistics depend on its rows only through which
         # positions match, so row pairs are grouped by that signature
         signatures, skipped_rows = _row_pair_signatures(codebook.combinations)
-        work = signatures, skipped_rows, _slot_batch(codebook, signatures)
+        work = len(signatures), skipped_rows, _slot_batch(codebook, signatures)
         codebook._bound_work = work
     return work
 
@@ -653,16 +644,10 @@ def union_bound_ber(codebook: Codebook, noise_var: float) -> UnionBoundResult:
     size = codebook.size
     ordered = check_pair_ceiling(size)
     signatures, skipped_rows, batch = _noise_free_batch(codebook)
-    sums = _bound_sums(batch, noise_var)
-    total = 0.0
-    for (pair_count, spatial_sum), (bound_sum, hamming_sum) in zip(signatures.values(), sums):
-        # same-codeword pairs have zero Hamming weight (and a same-row
-        # signature zero spatial weight), so they drop out by themselves
-        total += spatial_sum * bound_sum + pair_count * hamming_sum
     skipped = skipped_rows * codebook.symbols_per_row**2
     return UnionBoundResult(
-        value=total / (size * cfg.rate),
+        value=_bound_sum(batch, noise_var) / (size * cfg.rate),
         evaluated_pairs=ordered - skipped,
         skipped_pairs=skipped,
-        signatures=len(signatures),
+        signatures=signatures,
     )

@@ -5,12 +5,14 @@ import functools
 import inspect
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
 
 import ris_rgsm
 from ris_rgsm.cli import build_parser, main
+from ris_rgsm.config import _SNR_LIMIT_DB
 from ris_rgsm.mapping import Codebook
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -195,6 +197,25 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         assert int(rows[0]["trials"]) == 300
 
+    @pytest.mark.parametrize("text", [GOOD_CONFIG, DIVERSITY_APSK], ids=["rgssk", "diversity-apsk"])
+    def test_snr_limit_runs_without_warnings(self, tmp_path, text):
+        """Both engines run at minus and plus the SNR limit with every warning
+        an error."""
+        path = tmp_path / "limit.yaml"
+        grid = f"snr_db: [{-_SNR_LIMIT_DB}, {_SNR_LIMIT_DB}]"
+        path.write_text(re.sub(r"snr_db: \[.*\]", grid, text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["simulate", "-c", str(path), "-o", str(tmp_path / "o"), "--with-theory",
+                    "--label", "limit"]
+            assert main(argv) == 0
+        with open(tmp_path / "o" / "limit.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["snr_db"]) for r in rows] == [-_SNR_LIMIT_DB, _SNR_LIMIT_DB]
+        low, high = (float(r["theory_bound"]) for r in rows)
+        assert low > high >= 0.0
+        assert float(rows[1]["ber"]) == 0.0
+
     def test_seed_override(self, good_config, tmp_path):
         out = tmp_path / "results"
         main(["simulate", "-c", str(good_config), "-o", str(out), "--seed", "77"])
@@ -344,6 +365,27 @@ class TestRefusalsWriteNothing:
             argv += ["-o", str(tmp_path / "out")]
         assert main(argv) == 2
         assert "snr_db values must be finite" in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("snr.yaml")]
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ("[4000]", "must lie within"),
+            ("[-4000]", "must lie within"),
+            ("[1.0001, 1.0004]", "same 0.001 dB step"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate-config", "simulate", "theory"])
+    def test_snr_the_noise_model_cannot_take(self, tmp_path, capsys, command, grid, message):
+        """Past the SNR limit the noise model overflows; closer than 0.001 dB
+        two points would share every random draw."""
+        path = tmp_path / "snr.yaml"
+        path.write_text(GOOD_CONFIG.replace("snr_db: [-14, -10]", f"snr_db: {grid}"))
+        argv = [command, "-c", str(path)]
+        if command != "validate-config":
+            argv += ["-o", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
         assert files_under(tmp_path) == [Path("snr.yaml")]
 
     @pytest.mark.parametrize("label", ["../x", "../../up", "a/b", ".", ".."])

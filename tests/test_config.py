@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from ris_rgsm import ConfigError, Scheme, SystemConfig, load_config, load_manifest
-from ris_rgsm.config import _checked_label, _read_yaml
+from ris_rgsm.config import _SNR_LIMIT_DB, _checked_label, _read_yaml, _snr_stream_key
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -154,6 +154,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match="snr_db"):
             make_config(snr_grid_db=grid).validate()
 
+    @pytest.mark.parametrize(
+        "grid", [(4000.0,), (0.0, -4000.0), (_SNR_LIMIT_DB + 1e-9,), (-_SNR_LIMIT_DB - 1e-9,)]
+    )
+    def test_snr_beyond_limit(self, grid):
+        with pytest.raises(ConfigError, match="snr_db values must lie within"):
+            make_config(snr_grid_db=grid).validate()
+
+    def test_snr_limit_admits_noiseless_warmup(self):
+        grid = (-_SNR_LIMIT_DB, 200.0, _SNR_LIMIT_DB)
+        assert make_config(snr_grid_db=grid).validate().snr_grid_db == grid
+
+    @pytest.mark.parametrize(
+        "grid", [(1.0001, 1.0004), (3.0, -2.0, 3.0), (0.0, -0.0), (-2.0, -1.9996, -2.0004)]
+    )
+    def test_snr_points_sharing_random_streams(self, grid):
+        with pytest.raises(ConfigError, match="same 0.001 dB step"):
+            make_config(snr_grid_db=grid).validate()
+
+    def test_snr_points_a_step_apart(self):
+        grid = (1.0, 1.001, -1.0, -1.001, _SNR_LIMIT_DB, -_SNR_LIMIT_DB)
+        assert len({_snr_stream_key(snr) for snr in grid}) == len(grid)
+        make_config(snr_grid_db=grid).validate()
+
     def test_numpy_integers_accepted(self):
         cfg = make_config(n_rx=np.int64(5), seed=np.uint32(7)).validate()
         assert cfg.rate == 9
@@ -231,6 +254,17 @@ class TestConfigFiles:
             f"scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\nsnr_db: {grid}\n"
         )
         with pytest.raises(ConfigError, match="snr_db"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "grid", ["{start: -4000, stop: 0, step: 1000}", "{start: 1, stop: 1.001, step: 0.0002}"]
+    )
+    def test_snr_range_past_limit_or_finer_than_streams(self, tmp_path, grid):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            f"scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\nsnr_db: {grid}\n"
+        )
+        with pytest.raises(ConfigError, match="snr_db values"):
             load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):

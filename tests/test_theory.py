@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -29,7 +29,7 @@ from ris_rgsm.theory import (
     BOUND_WEIGHTS,
     PAIR_CEILING,
     _block_log_mgf,
-    _bound_sums,
+    _bound_sum,
     _label_factors,
     _popcount,
     _row_pair_signatures,
@@ -406,7 +406,7 @@ class TestBlockKernel:
         lam = np.linalg.eigvalsh(stats.covariance())[-1]
         noise_var = -lam / 0.75  # the scale-1 argument -1/noise_var is 0.75 / lam
         with pytest.raises(MgfDomainError):
-            _bound_sums(_slot_batch(cb, [()]), noise_var)
+            _bound_sum(_slot_batch(cb, {(): (1, 1)}), noise_var)
         with pytest.raises(MgfDomainError):
             mgf_quadratic_form(stats.mean_vector(), stats.covariance(), 0.75 / lam)
         # a definite first block does not hide an indefinite second one
@@ -492,7 +492,56 @@ SHARED_SYMBOL_CODEBOOKS = {
 }
 
 
+@st.composite
+def small_codebook_configs(draw):
+    """Valid configs of every scheme, n_active 1 to 3, on a shuffled explicit
+    combination table; at most 64 codewords, so that a pair-by-pair loop
+    covers them."""
+    n_active = draw(st.integers(1, 3))
+    n_rx = draw(st.integers(max(2, 2 * n_active), 2 * n_active + 1))
+    rows = draw(st.permutations(list(itertools.combinations(range(1, n_rx + 1), n_active))))
+    scheme = draw(st.sampled_from(["rgssk", "mux_psk", "mux_apsk", "diversity"]))
+    symbols = dict(mod_order=1, ring_count=1)
+    if scheme == "mux_psk":
+        symbols["mod_order"] = draw(st.sampled_from([2, 4]))
+    elif scheme == "mux_apsk":
+        m = draw(st.sampled_from([4, 8]))
+        symbols = dict(mod_order=m, ring_count=draw(st.sampled_from([2, m // 2])))
+    elif scheme == "diversity":
+        kind = draw(st.sampled_from(["psk", "qam", "apsk"]))
+        m = 4 if kind == "qam" else draw(st.sampled_from([2, 4, 8] if kind == "psk" else [4, 8]))
+        rings = draw(st.sampled_from([2, m // 2])) if kind == "apsk" else 1
+        symbols = dict(mod_order=m, ring_count=rings, diversity_constellation=kind)
+    cfg = SystemConfig(
+        scheme=scheme, n_rx=n_rx, n_active=n_active,
+        n_elements=n_active * draw(st.sampled_from([4, 8, 16])),
+        combination_table=tuple(rows[: 1 << (len(rows).bit_length() - 1)]),
+        stagger=draw(st.booleans()), **symbols,
+    ).validate()
+    assume(cfg.rate <= 6)
+    return cfg
+
+
 class TestUnionBound:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=small_codebook_configs(), snr=st.floats(-20.0, -4.0))
+    @example(
+        # (1, 3) and (3, 4) hold antenna 3 at different positions
+        cfg=make_config(
+            scheme="mux_psk", mod_order=2, ring_count=1, n_rx=4,
+            combination_table=((1, 3), (3, 4), (1, 2), (2, 4)),
+        ),
+        snr=-10.0,
+    )
+    def test_folded_weights_match_pair_by_pair_oracle(self, cfg, snr):
+        """The bound as one sum of slot weights times slot bounds equals the
+        per-pair sum of dense MGFs, each weighted by its pair's label Hamming
+        distance."""
+        cb = Codebook(cfg)
+        n0 = noise_variance(snr)
+        got = union_bound_ber(cb, n0).value
+        assert got == pytest.approx(brute_force_union_bound(cb, n0), rel=1e-12)
+
     def test_two_codeword_codebook(self):
         """Degenerate size-2 codebook: bound value equals pep * e / rate."""
         cfg = SystemConfig(
@@ -561,7 +610,7 @@ class TestUnionBound:
                 union_bound_ber(codebook, -1.0)
             for correct in [(0, 1), (0,), (1,), ()]:
                 with pytest.raises(MgfDomainError):
-                    _bound_sums(_slot_batch(codebook, [correct]), -1.0)
+                    _bound_sum(_slot_batch(codebook, {correct: (1, 1)}), -1.0)
 
     @pytest.mark.parametrize(
         "overrides", [{}, SMALL_CODEBOOKS["n3-psk"], LAYOUT_CODEBOOKS["diversity-64"]]
@@ -580,12 +629,13 @@ class TestUnionBound:
         assert sorted(calls) == [2, 4]
 
     def test_one_batch_equals_layout_batches(self, codebook):
-        """Flattening several layouts into one batch leaves each layout's sums
-        bit for bit as a batch of its own."""
-        layouts = [(0, 1), (), (1,), (0,)]
+        """Flattening several layouts into one batch sums what each layout's
+        batch of its own sums."""
+        signatures = {(0, 1): (5, 0), (): (3, 7), (1,): (2, 2), (0,): (4, 9)}
         n0 = noise_variance(-12.0)
-        joint = _bound_sums(_slot_batch(codebook, layouts), n0)
-        assert joint == [_bound_sums(_slot_batch(codebook, [c]), n0)[0] for c in layouts]
+        joint = _bound_sum(_slot_batch(codebook, signatures), n0)
+        parts = [_bound_sum(_slot_batch(codebook, {c: w}), n0) for c, w in signatures.items()]
+        assert joint == pytest.approx(math.fsum(parts), rel=1e-14)
 
     def test_unsupported_rows_skipped_and_reported(self, codebook):
         """Lexicographic 5x2 tables contain cross-position row pairs."""
