@@ -166,17 +166,10 @@ class SystemConfig:
         return self.mod_order // self.ring_count
 
     @property
-    def ring_bits(self) -> int:
-        return self.ring_count.bit_length() - 1
-
-    @property
     def rate(self) -> int:
-        """Transmission rate in bits per channel use."""
-        if self.scheme is Scheme.RGSSK:
-            return self.spatial_bits
-        if self.scheme is Scheme.DIVERSITY:
-            return self.spatial_bits + self.symbol_bits
-        return self.spatial_bits + self.n_active * self.symbol_bits
+        """Transmission rate in bits per channel use (RGSSK's ``mod_order`` of
+        1 carries no symbol bits)."""
+        return self.spatial_bits + self.symbol_bits * (self.n_active if self.scheme.is_mux else 1)
 
     @property
     def stagger_enabled(self) -> bool:
@@ -276,18 +269,23 @@ class SystemConfig:
                 "ring_count is only meaningful for mux_apsk or diversity apsk"
             )
 
-        if self.scheme is Scheme.DIVERSITY and self.diversity_constellation is None:
-            if self.mod_order > 8:
-                side = math.isqrt(self.mod_order)
-                if side * side != self.mod_order:
-                    raise ConfigError(
-                        f"diversity mod_order={self.mod_order} is not square; "
-                        "set diversity_constellation explicitly"
-                    )
         if self.diversity_constellation not in (None, "psk", "qam", "apsk"):
             raise ConfigError(
                 f"unknown diversity_constellation {self.diversity_constellation!r}"
             )
+        if self.scheme is Scheme.DIVERSITY and self.symbol_bits % 2:
+            # the default picks square QAM above order 8; square QAM needs an
+            # even power-of-two order
+            if self.diversity_constellation is None and self.mod_order > 8:
+                raise ConfigError(
+                    f"diversity mod_order={self.mod_order} is not square; "
+                    "set diversity_constellation explicitly"
+                )
+            if self.diversity_constellation == "qam":
+                raise ConfigError(
+                    f"diversity qam needs a square mod_order (an even power of two "
+                    f">= 4), got {self.mod_order}"
+                )
 
         if self.combination_table is not None:
             self._validate_table(self.combination_table)
@@ -370,7 +368,22 @@ def _snr_grid(raw) -> tuple[float, ...]:
             raise ConfigError("snr_db range must have step > 0 and a finite stop >= start")
         # the last point is the largest start + i*step not past stop, with a
         # tolerance so that a step dividing the span in decimal still reaches it
-        count = math.floor((stop - start) / step + 1e-9) + 1
+        steps = (stop - start) / step + 1e-9
+        count = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+        # the points ascend, so the first and the last bound them all; refuse
+        # what validate would refuse before building the points
+        last = start + (count - 1) * step if count < math.inf else stop
+        if max(abs(start), abs(last)) > _SNR_LIMIT_DB:
+            raise ConfigError(
+                f"snr_db values must lie within +-{_SNR_LIMIT_DB:g} dB, "
+                f"got a range from {start!r} to {last!r}"
+            )
+        keys = (_snr_stream_key(last) - _snr_stream_key(start)) % 2**32 + 1
+        if count > keys:
+            raise ConfigError(
+                f"snr_db values of the {count}-point range from {start!r} to {last!r} "
+                "round two to the same 0.001 dB step, so they would share every random draw"
+            )
         return tuple(start + i * step for i in range(count))
     if isinstance(raw, (list, tuple)):
         return tuple(_snr_values(raw))

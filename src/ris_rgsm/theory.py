@@ -58,9 +58,9 @@ exactly, without visiting the pairs one by one:
   group for MUX, one shared label for diversity and RGSSK), so each factor's
   label pairs are grouped by key, and the MGF is evaluated once per tuple
   of factor keys;
-* one sort per factor groups its label pairs by all of their keys
-  (:func:`_fine_keys`), and each layout's keys regroup that table
-  (:func:`_regroup`).
+* each factor ranks its keys once (:func:`_label_pairs`), and each pattern
+  of matched positions groups the factor's label pairs by one integer code
+  of its key ranks (:func:`_group_keys`).
 
 The key tuples of every layout form one flat batch of slots
 (:func:`_slot_batch`), built once per codebook together with the row-pair
@@ -342,6 +342,13 @@ def _popcount(values) -> np.ndarray:
     return count
 
 
+def _first_and_group(values: np.ndarray):
+    """``(earliest element of each group, group of every element)`` of the
+    equal entries of ``values``; groups ascend by value."""
+    _, first, group = np.unique(values, return_index=True, return_inverse=True)
+    return first, group.ravel()  # the inverse's shape changed in numpy 2.0 and 2.1
+
+
 @dataclass(frozen=True)
 class UnionBoundResult:
     value: float
@@ -383,7 +390,7 @@ def _row_pair_signatures(combinations, max_bytes: int = _CLASSIFY_BYTES):
         code = (matched @ place)[supported]
         hamming = _popcount(rows[start : start + chunk, None] ^ rows[None, :])[supported]
         skipped += supported.size - code.size
-        group, first = _groups(code[None, :])
+        first, group = _first_and_group(code)
         pairs = np.bincount(group)
         spatial = np.bincount(group, weights=hamming)
         for i in np.argsort(first):
@@ -415,65 +422,57 @@ def _label_factors(codebook: Codebook) -> list[tuple[tuple[int, ...], np.ndarray
     return [((l,), per_group[:, l]) for l in range(cfg.n_active)]
 
 
+class _LabelPairs(NamedTuple):
+    """A factor's ``(M, M)`` label pairs, pair ``(a, b)`` at ``a * M + b``."""
+
+    symbols: np.ndarray  # (M,) symbol by label
+    distance: np.ndarray  # (M * M,) rank of each pair's |s - s_hat|**2
+    power: np.ndarray  # (M,) rank of each label's |s|**2
+    hamming: np.ndarray  # (M * M,) label Hamming distance of each pair
+
+
+def _label_pairs(symbols: np.ndarray) -> _LabelPairs:
+    """Rank a factor's keys once, quantized on one grid: keys that are equal
+    on the grid share a rank, and ranks keep the keys' order."""
+    m = symbols.size
+    distance = np.abs(symbols[:, None] - symbols[None, :]).ravel() ** 2
+    power = np.abs(symbols) ** 2
+    scale = _KEY_RESOLUTION * max(float(distance.max()), float(power.max()), 1e-300)
+    return _LabelPairs(
+        symbols=symbols,
+        distance=np.unique(np.round(distance / scale), return_inverse=True)[1].ravel(),
+        power=np.unique(np.round(power / scale), return_inverse=True)[1].ravel(),
+        hamming=_popcount(np.bitwise_xor.outer(np.arange(m), np.arange(m)).ravel()),
+    )
+
+
 class _FactorKeys(NamedTuple):
     """Distinct rotation-invariant keys of one factor's label pairs."""
 
-    keys: np.ndarray  # (rows, K) quantized keys of each group
-    first: np.ndarray  # (K,) first label pair of each group
-    s: np.ndarray  # (K,) true symbol of that pair
+    s: np.ndarray  # (K,) true symbol of the earliest label pair with the key
     s_hat: np.ndarray  # (K,) its wrong symbol
     count: np.ndarray  # (K,) label pairs with the key
     hamming: np.ndarray  # (K,) summed label Hamming distance of those pairs
 
 
-def _groups(keys: np.ndarray, *ties):
-    """``(group of every column, first column of each group)`` of ``keys``.
-
-    Groups follow the lexicographic order of their keys (last row most
-    significant); within a group columns keep their order, or that of
-    ``ties`` (least significant first), so the first column is the earliest.
-    """
-    order = np.lexsort((*ties, *keys))
-    ordered = keys[:, order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
-    group = np.empty(order.size, dtype=np.int64)
-    group[order] = np.cumsum(first) - 1
-    return group, order[first]
-
-
-def _regroup(table: _FactorKeys, rows) -> _FactorKeys:
-    """Group the columns of ``table`` by its key ``rows``; the earliest label
-    pair of each group represents it, and counts and Hamming sums add up."""
-    keys = table.keys[rows]
-    group, first = _groups(keys, table.first)
+def _group_keys(pairs: _LabelPairs, rows) -> _FactorKeys:
+    """Group label pairs by the key ``rows`` (0: ``|s - s_hat|**2``, 1:
+    ``|s|**2``, 2: ``|s_hat|**2``) in lexicographic order, last row most
+    significant, through one mixed-radix code of the rows' ranks (below
+    ``M**4`` under :data:`PAIR_CEILING`), sorted in its narrowest unsigned
+    type: numpy sorts 16-bit codes by radix, 64-bit ones far slower."""
+    m, power = pairs.symbols.size, pairs.power
+    columns = [pairs.distance, np.repeat(power, m), np.tile(power, m)]
+    code = np.zeros(m * m, dtype=np.int64)
+    for rank in reversed([columns[r] for r in rows]):
+        code = code * (int(rank.max()) + 1) + rank
+    first, group = _first_and_group(code.astype(np.min_scalar_type(code.max())))
     return _FactorKeys(
-        keys=keys[:, first],
-        first=table.first[first],
-        s=table.s[first],
-        s_hat=table.s_hat[first],
-        count=np.bincount(group, weights=table.count),
-        hamming=np.bincount(group, weights=table.hamming),
+        s=pairs.symbols[first // m],
+        s_hat=pairs.symbols[first % m],
+        count=np.bincount(group),
+        hamming=np.bincount(group, weights=pairs.hamming),
     )
-
-
-def _fine_keys(symbols: np.ndarray) -> _FactorKeys:
-    """Group a factor's ``(M, M)`` label pairs by the key rows
-    ``[|s - s_hat|**2, |s|**2, |s_hat|**2]``, quantized on one grid.  Every
-    layout's coarser keys are functions of these (:func:`_slot_batch`)."""
-    m = symbols.size
-    s, s_hat = np.repeat(symbols, m), np.tile(symbols, m)
-    labels = np.arange(m)
-    keys = np.stack([np.abs(s - s_hat) ** 2, np.abs(s) ** 2, np.abs(s_hat) ** 2])
-    pairs = _FactorKeys(
-        keys=np.round(keys / (_KEY_RESOLUTION * max(float(keys.max()), 1e-300))),
-        first=np.arange(m * m),
-        s=s,
-        s_hat=s_hat,
-        count=np.ones(m * m),
-        hamming=_popcount(np.repeat(labels, m) ^ np.tile(labels, m)),
-    )
-    return _regroup(pairs, [0, 1, 2])
 
 
 class _SlotBatch(NamedTuple):
@@ -503,25 +502,25 @@ def _slot_batch(codebook: Codebook, signatures) -> _SlotBatch:
     count of a slot is the product of the factors' counts ``n_f`` and its
     label Hamming sum ``sum_f h_f prod_{g != f} n_g``.  Every row pair of
     the layout meets every symbol pair of the slot, so the slot's weight is
-    ``spatial sum * count + row pairs * label Hamming sum``.  Each factor
-    has one fine key table and one coarse table per pattern of matched
-    positions, which keeps key row 0 (``|s - s_hat|``) of a matched
+    ``spatial sum * count + row pairs * label Hamming sum``.  Each factor's
+    keys are ranked once, and its label pairs are grouped once per pattern
+    of matched positions, on key row 0 (``|s - s_hat|``) of a matched
     position and rows 1, 2 (``|s|``, ``|s_hat|``) of a swapped one.
     """
     cfg = codebook.config
-    factors = [(positions, _fine_keys(symbols)) for positions, symbols in _label_factors(codebook)]
-    coarse: dict[tuple, _FactorKeys] = {}
+    factors = [(positions, _label_pairs(s)) for positions, s in _label_factors(codebook)]
+    grouped: dict[tuple, _FactorKeys] = {}
     totals, weights, idle = [], [], []  # per layout
     matched, swapped = [], []  # per layout and position: (block index, arguments)
     size = 0
     for correct, (row_pairs, spatial) in signatures.items():
         keys = []
-        for f, (positions, fine) in enumerate(factors):
+        for f, (positions, pairs) in enumerate(factors):
             flags = tuple(l in correct for l in positions)
-            if (f, flags) not in coarse:
+            if (f, flags) not in grouped:
                 rows = dict.fromkeys(r for flag in flags for r in ((0,) if flag else (1, 2)))
-                coarse[f, flags] = _regroup(fine, list(rows))
-            keys.append(coarse[f, flags])
+                grouped[f, flags] = _group_keys(pairs, list(rows))
+            keys.append(grouped[f, flags])
         shape = [key.count.size for key in keys]
         slots = np.unravel_index(np.arange(math.prod(shape)), shape)
         total, count, hamming = 0.0, 1.0, 0.0

@@ -77,6 +77,18 @@ curves:
   - {label: n32, scheme: rgssk, n_elements: 32}
 """
 
+# square QAM needs an even power-of-two order
+NON_SQUARE_QAM = """\
+scheme: diversity
+diversity_constellation: qam
+mod_order: 8
+n_elements: 16
+n_rx: 4
+n_active: 2
+snr_db: [0]
+trials: 200
+"""
+
 # validates, but its 2^30 codewords would need gigabytes before a bound
 RATE_30 = """
 scheme: mux_psk
@@ -387,6 +399,45 @@ class TestRefusalsWriteNothing:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert files_under(tmp_path) == [Path("snr.yaml")]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (NON_SQUARE_QAM, "diversity qam needs a square mod_order"),
+            (
+                GOOD_CONFIG.replace(
+                    "snr_db: [-14, -10]", "snr_db: {start: 0, stop: 1, step: 0.000001}"
+                ),
+                "same 0.001 dB step",
+            ),
+        ],
+        ids=["qam8", "million-point-range"],
+    )
+    @pytest.mark.parametrize("command", ["validate-config", "simulate", "theory"])
+    def test_config_no_run_can_take(self, tmp_path, capsys, command, text, message):
+        """Non-square QAM would fail in the constellation after validation;
+        a range finer than the random streams is refused before its points
+        are built."""
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        argv = [command, "-c", str(path)]
+        if command != "validate-config":
+            argv += ["-o", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("cfg.yaml")]
+
+    def test_manifest_with_non_square_qam(self, tmp_path, capsys):
+        """The refusal comes before the valid first curve runs."""
+        path = tmp_path / "manifest.yaml"
+        path.write_text(
+            MANIFEST
+            + "  - {label: qam8, scheme: diversity, mod_order: 8, diversity_constellation: qam}\n"
+        )
+        argv = ["compare", "--kind", "theory", "--mode", "free", "-c", str(path)]
+        assert main(argv + ["-o", str(tmp_path / "o")]) == 2
+        assert "diversity qam" in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("manifest.yaml")]
 
     @pytest.mark.parametrize("label", ["../x", "../../up", "a/b", ".", ".."])
     @pytest.mark.parametrize("command", ["simulate", "theory"])

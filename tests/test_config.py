@@ -1,15 +1,27 @@
 """Tests for system parameterization, validation, and config loading."""
 
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_rgsm import ConfigError, Scheme, SystemConfig, load_config, load_manifest
-from ris_rgsm.config import _SNR_LIMIT_DB, _checked_label, _read_yaml, _snr_stream_key
+from ris_rgsm.config import (
+    _SNR_LIMIT_DB,
+    _checked_label,
+    _read_yaml,
+    _snr_stream_key,
+    config_from_mapping,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+RGSSK = {"scheme": "rgssk", "n_elements": 16, "n_rx": 4, "n_active": 2}
 
 
 def make_config(**overrides):
@@ -59,7 +71,6 @@ class TestDerivedQuantities:
     def test_apsk_split(self):
         cfg = make_config(scheme="mux_apsk", mod_order=8, ring_count=2).validate()
         assert cfg.phase_order == 4
-        assert cfg.ring_bits == 1
 
 
 class TestValidation:
@@ -108,6 +119,29 @@ class TestValidation:
             make_config(
                 scheme="diversity", mod_order=16, diversity_constellation="star"
             ).validate()
+
+    @pytest.mark.parametrize(
+        "mod_order,kind,message",
+        [
+            (8, "qam", "diversity qam needs a square mod_order"),
+            (2, "qam", "diversity qam needs a square mod_order"),
+            (32, "qam", "diversity qam needs a square mod_order"),
+            (32, None, "not square; set diversity_constellation explicitly"),
+        ],
+    )
+    def test_diversity_qam_needs_square_order(self, mod_order, kind, message):
+        """Square QAM, explicit or the default above order 8, needs an even
+        power-of-two order; validate refuses the others before any run."""
+        with pytest.raises(ConfigError, match=message):
+            make_config(
+                scheme="diversity", mod_order=mod_order, diversity_constellation=kind
+            ).validate()
+
+    @pytest.mark.parametrize("mod_order,kind", [(4, "qam"), (16, "qam"), (8, None), (16, None)])
+    def test_diversity_square_qam_valid(self, mod_order, kind):
+        make_config(
+            scheme="diversity", mod_order=mod_order, diversity_constellation=kind
+        ).validate()
 
     def test_rgssk_no_modulation(self):
         with pytest.raises(ConfigError, match="mod_order must be 1"):
@@ -266,6 +300,47 @@ class TestConfigFiles:
         )
         with pytest.raises(ConfigError, match="snr_db values"):
             load_config(path)
+
+    def test_fine_snr_range_refused_before_its_points(self, tmp_path):
+        """A million-point range inside 1 dB is refused from its first and last
+        point alone, without building the points."""
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\n"
+            "snr_db: {start: 0, stop: 1, step: 0.000001}\n"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="same 0.001 dB step"):
+                load_config(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_widest_finest_snr_range_accepted(self):
+        grid = config_from_mapping(dict(RGSSK, snr_db={"start": -300, "stop": 300, "step": 0.001}))
+        assert len(grid.snr_grid_db) == 600_001
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.one_of(st.floats(-301, 301), st.floats(299, 301), st.floats(-301, -299)),
+        span=st.floats(0, 2),
+        step=st.one_of(st.floats(0.0005, 0.01), st.sampled_from([0.001, 0.002, 0.1])),
+    )
+    def test_snr_range_refusals_match_validate(self, start, span, step):
+        """A range is refused before its points are built exactly when
+        validate would refuse the built points."""
+        raw = {"start": start, "stop": start + span, "step": step}
+        count = math.floor((raw["stop"] - start) / step + 1e-9) + 1
+        points = tuple(start + i * step for i in range(count))
+        try:
+            SystemConfig(**RGSSK, snr_grid_db=points).validate()
+        except ConfigError:
+            with pytest.raises(ConfigError, match="snr_db values"):
+                config_from_mapping(dict(RGSSK, snr_db=raw))
+        else:
+            assert config_from_mapping(dict(RGSSK, snr_db=raw)).snr_grid_db == points
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"

@@ -23,14 +23,22 @@ from ris_rgsm import (
     noise_variance,
     union_bound_ber,
 )
-from ris_rgsm.mapping import int_to_bits
+from ris_rgsm.mapping import (
+    int_to_bits,
+    psk_constellation,
+    qam_constellation,
+    ring_constellation,
+)
 from ris_rgsm.theory import (
     BOUND_SCALES,
     BOUND_WEIGHTS,
     PAIR_CEILING,
+    _KEY_RESOLUTION,
     _block_log_mgf,
     _bound_sum,
+    _group_keys,
     _label_factors,
+    _label_pairs,
     _popcount,
     _row_pair_signatures,
     _slot_batch,
@@ -520,6 +528,63 @@ def small_codebook_configs(draw):
     ).validate()
     assume(cfg.rate <= 6)
     return cfg
+
+
+@st.composite
+def factor_symbols(draw):
+    """A label factor's ``(M,)`` symbols: PSK rotated by a stagger offset,
+    2- or 4-ring APSK, 16-QAM, or random points with repeated moduli.  Equal
+    keys among them are reached along different rounding paths."""
+    m = draw(st.sampled_from([2, 4, 8, 16]))
+    kinds = ["psk", "random"] + ["apsk"] * (m >= 4) + ["qam"] * (m == 16)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "psk":
+        groups = draw(st.integers(1, 4))
+        offset = 2.0 * np.pi * draw(st.integers(0, groups - 1)) / (groups * m)
+        return psk_constellation(m) * np.exp(1j * offset)
+    if kind == "apsk":
+        return ring_constellation(m, draw(st.sampled_from([r for r in (2, 4) if r < m])))
+    if kind == "qam":
+        return qam_constellation(m)
+    moduli = draw(st.lists(st.sampled_from([0.5, 1.0, math.sqrt(2.0)]), min_size=m, max_size=m))
+    phases = draw(st.lists(st.floats(-math.pi, math.pi), min_size=m, max_size=m))
+    return np.array(moduli) * np.exp(1j * np.array(phases))
+
+
+def brute_force_groups(symbols, rows):
+    """Every label pair ``(a, b)``, in order, put in a dict by its tuple of
+    quantized keys ``(|s - s_hat|**2, |s|**2, |s_hat|**2)[rows]``; groups in
+    lexicographic key order, last row most significant."""
+    m = symbols.size
+    s, s_hat = np.repeat(symbols, m), np.tile(symbols, m)
+    keys = np.stack([np.abs(s - s_hat) ** 2, np.abs(s) ** 2, np.abs(s_hat) ** 2])
+    keys = np.round(keys / (_KEY_RESOLUTION * keys.max()))
+    groups = {}
+    for pair in range(m * m):
+        key = tuple(float(keys[r, pair]) for r in rows)
+        first, count, hamming = groups.get(key, (pair, 0, 0))
+        hamming += bin(pair // m ^ pair % m).count("1")
+        groups[key] = (first, count + 1, hamming)
+    return [groups[key] for key in sorted(groups, key=lambda key: key[::-1])]
+
+
+class TestGroupKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        symbols=factor_symbols(),
+        rows=st.sampled_from([(0,), (1, 2), (0, 1, 2), (1, 2, 0)]),
+    )
+    def test_matches_brute_force_grouping(self, symbols, rows):
+        """Group order, the earliest pair as representative, counts and
+        Hamming sums all equal a dict of the pairs' quantized key tuples."""
+        m = symbols.size
+        got = _group_keys(_label_pairs(symbols), rows)
+        want = brute_force_groups(symbols, rows)
+        firsts = np.array([first for first, _, _ in want])
+        assert np.array_equal(got.s, symbols[firsts // m])
+        assert np.array_equal(got.s_hat, symbols[firsts % m])
+        assert got.count.tolist() == [count for _, count, _ in want]
+        assert got.hamming.tolist() == [hamming for _, _, hamming in want]
 
 
 class TestUnionBound:
