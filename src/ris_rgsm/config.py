@@ -352,14 +352,19 @@ _CONFIG_KEYS = {"snr_db" if f.name == "snr_grid_db" else f.name for f in fields(
 
 
 def _snr_values(values) -> list[float]:
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"snr_db values must be numbers: {exc}") from exc
+    # float() would read "5" as 5 and true as 1; NaN and infinity are floats
+    # and meet the finiteness check instead
+    wrong = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+    if wrong:
+        raise ConfigError(f"snr_db values must be numbers, got {wrong!r}")
+    return [float(v) for v in values]
 
 
 def _snr_grid(raw) -> tuple[float, ...]:
     if isinstance(raw, dict):
+        unknown = raw.keys() - {"start", "stop", "step"}
+        if unknown:
+            raise ConfigError(f"unknown snr_db range keys: {sorted(unknown, key=str)}")
         missing = {"start", "stop", "step"} - raw.keys()
         if missing:
             raise ConfigError(f"snr_db range needs keys start/stop/step, missing {missing}")
@@ -477,6 +482,9 @@ def _manifest_from_mapping(data) -> SweepManifest:
     for item in curves:
         if not isinstance(item, dict) or "label" not in item:
             raise ConfigError("each manifest curve needs a 'label'")
+        if item["label"] is None or isinstance(item["label"], bool):
+            # str() would make up the names None and True
+            raise ConfigError(f"manifest label must be a name, got {item['label']!r}")
         label = _checked_label(str(item["label"]))
         merged = dict(shared)
         merged.update({k: v for k, v in item.items() if k != "label"})

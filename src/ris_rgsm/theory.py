@@ -2,14 +2,18 @@
 
 For an ordered codeword pair, the per-antenna decision difference (true
 hypothesis response minus wrong hypothesis response) is modeled as Gaussian
-by the central limit theorem over the group elements.  Antennas fall into
-three tractable roles:
+by the central limit theorem over the group elements.  Each position's
+antennas form one coupled 4x4 block, ``[antenna_re, antenna_im,
+partner_re, partner_im]``, of its true and wrong symbol:
 
-* unselected by both hypotheses: zero mean, isotropic;
-* selected by both at the same position: anisotropic 2x2 block driven by
-  the symbol difference;
-* selected by the true hypothesis but decoded to another antenna: the two
-  antennas form a coupled 4x4 block.
+* a position decoded to another antenna (a swap) couples the two antennas,
+  with symbols ``(s, s_hat)``;
+* a position decoded to its own antenna (kept) is the swap ``(s - s_hat,
+  0)``: its antenna half is an anisotropic 2x2 block driven by the symbol
+  difference, and its partner half, uncoupled, zero-mean and isotropic, is
+  exactly an idle antenna;
+* antennas selected by neither hypothesis (idle) have zero mean and are
+  isotropic.
 
 Pairs in which some antenna is selected by both hypotheses *at different
 positions* fall outside this taxonomy and are skipped (and counted) by the
@@ -24,18 +28,19 @@ The pairwise error bound is the three-term exponential upper bound of the
 Gaussian tail function evaluated through the quadratic-form MGF, and the
 average BER is the bit-error-weighted union over ordered codeword pairs.
 
-Each block kind has one entries function, :func:`_matched_entries` for a
-matched 2x2 block and :func:`_swap_entries` for a coupled 4x4 block, giving
-its covariance upper triangle and mean.  One pair's statistics are one dense
-mean and covariance over the ``2 * n_rx`` stacked dimensions:
+One entries function, :func:`_swap_entries`, gives a block's covariance
+upper triangle and mean.  One pair's statistics are one dense mean and
+covariance over the ``2 * n_rx`` stacked dimensions:
 :func:`assemble_statistics` sets the idle variance on the diagonal and writes
-each block's entries into its antennas' ``[re, im]`` dimensions.  One
-pair's MGF is the dense :func:`mgf_quadratic_form` of
-:meth:`DifferenceStatistics.mean_vector` and
-:meth:`DifferenceStatistics.covariance`.
+each swap's entries into its two antennas' ``[re, im]`` dimensions and each
+kept position's antenna half into its antenna's.  One pair's MGF is the
+dense :func:`mgf_quadratic_form` of :meth:`DifferenceStatistics.mean_vector`
+and :meth:`DifferenceStatistics.covariance`.
 
-The MGF factors over the blocks.  Idle antennas have a closed form; every
-other block goes through one kernel, :func:`_block_log_mgf`: a Cholesky
+The MGF factors over the blocks.  A layout with ``k`` kept positions has
+``n_rx - 2 * n_active + k`` idle antennas, so every kept block takes one as
+its partner and ``n_rx - 2 * n_active`` are left over, for one closed form.
+Every block goes through one kernel, :func:`_block_log_mgf`: a Cholesky
 factorization of ``I - 2xC`` unrolled over the block's entries plus a
 forward substitution, written as numpy elementwise operations over a batch
 of blocks of any size.  Every domain check (``I - 2xC`` positive definite)
@@ -67,8 +72,8 @@ The key tuples of every layout form one flat batch of slots
 signatures (:func:`_noise_free_batch`).  A slot's bit-error weight, summed
 over the ordered pairs it stands for, does not depend on the noise, so the
 batch stores one weight per slot.  An SNR point is then one weighted sum
-(:func:`_bound_sum`): the idle antennas' closed form once,
-:func:`_block_log_mgf` once for all matched and once for all swap blocks,
+(:func:`_bound_sum`): the left-over idle antennas' closed form once,
+:func:`_block_log_mgf` once for every position's block of every slot,
 ``exp`` once, and the weights.
 """
 
@@ -202,32 +207,15 @@ def _block_log_mgf(cov, mean, x: float):
     return -0.5 * log_det + x * quad
 
 
-def _matched_entries(delta, total, n_g: int):
-    """Covariance upper triangle and mean of the 2x2 block of one matched
-    position.
-
-    ``delta`` is the position's symbol difference ``s - s_hat`` and ``total``
-    the sum of all position weights, as broadcastable arrays.  The block
-    stacks ``[antenna_re, antenna_im]``; the three covariance entries come
-    row by row as :func:`_block_log_mgf` takes them, followed by the two
-    mean entries.
-    """
-    c_mean = n_g * math.sqrt(math.pi) / 2.0
-    c_aniso = n_g * (4.0 - math.pi) / 4.0
-    dr, di = delta.real, delta.imag
-    base = n_g / 2.0 * (total - np.abs(delta) ** 2)
-    cov = (c_aniso * dr * dr + base, c_aniso * dr * di, c_aniso * di * di + base)
-    return cov, (c_mean * dr, c_mean * di)
-
-
 def _swap_entries(s, s_hat, total, n_g: int):
-    """Covariance upper triangle and mean of the coupled block of one swap.
+    """Covariance upper triangle and mean of the coupled block of one position.
 
-    ``s``/``s_hat`` are the swapped position's true and wrong symbols and
-    ``total`` the sum of all position weights, as broadcastable arrays.  The
-    block stacks ``[antenna_re, antenna_im, partner_re, partner_im]``; the
-    ten covariance entries come row by row as :func:`_block_log_mgf` takes
-    them, followed by the four mean entries.
+    ``s``/``s_hat`` are a swapped position's true and wrong symbols (a kept
+    position's are ``s - s_hat`` and 0) and ``total`` the sum of all
+    position weights, as broadcastable arrays.  The block stacks
+    ``[antenna_re, antenna_im, partner_re, partner_im]``; the ten covariance
+    entries come row by row as :func:`_block_log_mgf` takes them, followed
+    by the four mean entries.
     """
     half = n_g / 2.0
     c_mean = n_g * math.sqrt(math.pi) / 2.0
@@ -274,7 +262,12 @@ def assemble_statistics(
     )
     mean = np.zeros(2 * config.n_rx)
     cov = np.diag(np.full(2 * config.n_rx, n_g / 2.0 * total))  # idle antennas
-    blocks = [((c[l],), _matched_entries(s[l] - s_hat[l], total, n_g)) for l in layout.correct]
+    blocks = []
+    for l in layout.correct:
+        # a kept position is a swap whose wrong symbol is zero; its partner
+        # half is an idle antenna, so the block is the true antenna's half
+        upper, block_mean = _swap_entries(s[l] - s_hat[l], 0.0, total, n_g)
+        blocks.append(((c[l],), ([upper[i] for i in (0, 1, 4)], block_mean[:2])))
     blocks += [
         ((c[l], c_hat[l]), _swap_entries(s[l], s_hat[l], total, n_g)) for l in layout.swapped
     ]
@@ -479,17 +472,18 @@ class _SlotBatch(NamedTuple):
     """Noise-independent inputs of the bound, one slot per tuple of factor
     keys of a layout, the layouts' key grids flattened one after another.
 
-    Every slot has one block per position; a block's index is
-    ``slot * positions + position``.
+    Every position of a slot is one coupled block with the moduli of its
+    true and wrong symbol: a swapped position keeps ``(|s|, |s_hat|)``, a
+    kept one is the swap ``(|s - s_hat|, 0)``, whose partner half is one of
+    the layout's idle antennas.
     """
 
     n_group: int
-    n_positions: int
+    idle: int  # idle antennas besides the kept blocks' partners, n_rx - 2 * n_active
     total: np.ndarray  # (G,) summed position weights
     weight: np.ndarray  # (G,) summed bit errors of the ordered pairs of the slot
-    idle: np.ndarray  # (G,) idle antennas
-    matched: tuple  # (block index, |s - s_hat|) of matched blocks
-    swapped: tuple  # (block index, |s|, |s_hat|) of swap blocks
+    s: np.ndarray  # (G, n_active) true symbol modulus of each position's block
+    s_hat: np.ndarray  # (G, n_active) its wrong symbol modulus
 
 
 def _slot_batch(codebook: Codebook, signatures) -> _SlotBatch:
@@ -510,9 +504,7 @@ def _slot_batch(codebook: Codebook, signatures) -> _SlotBatch:
     cfg = codebook.config
     factors = [(positions, _label_pairs(s)) for positions, s in _label_factors(codebook)]
     grouped: dict[tuple, _FactorKeys] = {}
-    totals, weights, idle = [], [], []  # per layout
-    matched, swapped = [], []  # per layout and position: (block index, arguments)
-    size = 0
+    totals, weights, moduli, moduli_hat = [], [], [], []  # per layout
     for correct, (row_pairs, spatial) in signatures.items():
         keys = []
         for f, (positions, pairs) in enumerate(factors):
@@ -524,7 +516,8 @@ def _slot_batch(codebook: Codebook, signatures) -> _SlotBatch:
         shape = [key.count.size for key in keys]
         slots = np.unravel_index(np.arange(math.prod(shape)), shape)
         total, count, hamming = 0.0, 1.0, 0.0
-        blocks = [None] * cfg.n_active  # symbol arguments of each position's blocks
+        # |s| and |s_hat| of each position's block
+        mod, mod_hat = [None] * cfg.n_active, [None] * cfg.n_active
         for (positions, _), key, i in zip(factors, keys, slots):
             n, h = key.count[i], key.hamming[i]
             hamming = hamming * n + h * count
@@ -532,36 +525,24 @@ def _slot_batch(codebook: Codebook, signatures) -> _SlotBatch:
             for l in positions:
                 if l in correct:
                     # rotated by its own phase, the difference s - s_hat is real
-                    delta = np.abs(key.s[i] - key.s_hat[i])
-                    total = total + delta**2
-                    blocks[l] = (delta,)
+                    mod[l] = np.abs(key.s[i] - key.s_hat[i])
+                    mod_hat[l] = np.zeros_like(mod[l])
                 else:
-                    mod, mod_hat = np.abs(key.s[i]), np.abs(key.s_hat[i])
-                    total = total + mod**2 + mod_hat**2
-                    blocks[l] = (mod, mod_hat)
-        index = (size + np.arange(total.size)) * cfg.n_active
-        for l, arguments in enumerate(blocks):
-            (matched if l in correct else swapped).append((index + l, *arguments))
+                    mod[l], mod_hat[l] = np.abs(key.s[i]), np.abs(key.s_hat[i])
+                total = total + mod[l] ** 2 + mod_hat[l] ** 2
         totals.append(total)
         # same-codeword pairs have zero Hamming weight (and a same-row
         # signature zero spatial weight), so they drop out by themselves
         weights.append(spatial * count + row_pairs * hamming)
-        idle.append(np.full(total.size, cfg.n_rx - 2 * cfg.n_active + len(correct)))
-        size += total.size
-
-    def stacked(blocks, arguments):
-        if not blocks:
-            return (np.zeros(0, dtype=np.int64),) + (np.zeros(0),) * arguments
-        return tuple(np.concatenate(column) for column in zip(*blocks))
-
+        moduli.append(np.stack(mod, axis=1))
+        moduli_hat.append(np.stack(mod_hat, axis=1))
     return _SlotBatch(
         n_group=cfg.n_group,
-        n_positions=cfg.n_active,
+        idle=cfg.n_rx - 2 * cfg.n_active,
         total=np.concatenate(totals),
         weight=np.concatenate(weights),
-        idle=np.concatenate(idle),
-        matched=stacked(matched, 1),
-        swapped=stacked(swapped, 2),
+        s=np.concatenate(moduli),
+        s_hat=np.concatenate(moduli_hat),
     )
 
 
@@ -569,32 +550,22 @@ def _bound_sum(batch: _SlotBatch, noise_var: float) -> float:
     """``sum weight * B`` over the slots of the batch.
 
     ``B`` is the three-term bound of one symbol pair.  One closed form
-    covers the idle antennas of every slot and one :func:`_block_log_mgf`
-    call each the matched and the swap blocks; the three MGF arguments lie
-    along a leading axis.  Each slot adds its idle antennas' and then its
-    blocks' log-MGFs position by position.
+    covers the idle antennas left over by the blocks and one
+    :func:`_block_log_mgf` call every position of every slot; the
+    three MGF arguments lie along a leading axis.  Each slot adds its idle
+    antennas' and then its blocks' log-MGFs position by position.
     """
     x = np.reshape(_mgf_arguments(noise_var), (-1, 1))
     n_g = batch.n_group
-    size = batch.total.size
-    log_m = np.zeros((x.size, size))
-    idle = np.flatnonzero(batch.idle)
-    if idle.size:
-        edge = 1.0 - 2.0 * x * (n_g / 2.0) * batch.total[idle]
+    log_m = 0.0
+    if batch.idle:
+        edge = 1.0 - 2.0 * x * (n_g / 2.0) * batch.total
         if not np.all(edge > 0):
             raise MgfDomainError(f"argument x={x.ravel()} leaves the idle antennas indefinite")
-        log_m[:, idle] = -batch.idle[idle] * np.log(edge)
-    blocks = np.empty((x.size, size * batch.n_positions))
-    index, delta = batch.matched
-    if index.size:
-        total = batch.total[index // batch.n_positions]
-        blocks[:, index] = _block_log_mgf(*_matched_entries(delta, total, n_g), x)
-    index, mod, mod_hat = batch.swapped
-    if index.size:
-        total = batch.total[index // batch.n_positions]
-        blocks[:, index] = _block_log_mgf(*_swap_entries(mod, mod_hat, total, n_g), x)
-    blocks = blocks.reshape(x.size, size, batch.n_positions)
-    for l in range(batch.n_positions):
+        log_m = -batch.idle * np.log(edge)
+    entries = _swap_entries(batch.s, batch.s_hat, batch.total[:, None], n_g)
+    blocks = _block_log_mgf(*entries, x[..., None])
+    for l in range(blocks.shape[-1]):
         log_m = log_m + blocks[..., l]
     return float(BOUND_WEIGHTS @ np.exp(log_m) @ batch.weight)
 

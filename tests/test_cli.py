@@ -401,6 +401,26 @@ class TestRefusalsWriteNothing:
         assert files_under(tmp_path) == [Path("snr.yaml")]
 
     @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ('["5", true]', "snr_db values must be numbers"),
+            ('{start: "0", stop: 1, step: 1}', "snr_db values must be numbers"),
+            ("{start: 0, stop: 2, step: 1, count: 9}", "unknown snr_db range keys"),
+        ],
+        ids=["string-and-boolean", "string-start", "extra-range-key"],
+    )
+    @pytest.mark.parametrize("command", ["validate-config", "simulate", "theory"])
+    def test_snr_of_the_wrong_type_or_keys(self, tmp_path, capsys, command, grid, message):
+        path = tmp_path / "snr.yaml"
+        path.write_text(GOOD_CONFIG.replace("snr_db: [-14, -10]", f"snr_db: {grid}"))
+        argv = [command, "-c", str(path)]
+        if command != "validate-config":
+            argv += ["-o", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("snr.yaml")]
+
+    @pytest.mark.parametrize(
         "text,message",
         [
             (NON_SQUARE_QAM, "diversity qam needs a square mod_order"),
@@ -467,6 +487,19 @@ class TestRefusalsWriteNothing:
         assert exc.value.code == 2
         assert "--label" in capsys.readouterr().err
         assert files_under(tmp_path) == [Path("config.yaml")]
+
+    @pytest.mark.parametrize("label", ["null", "true"])
+    @pytest.mark.parametrize("command", ["validate-config", "compare"])
+    def test_manifest_label_null_or_boolean(self, tmp_path, capsys, command, label):
+        """The refusal comes before the valid first curve runs."""
+        path = tmp_path / "manifest.yaml"
+        path.write_text(MANIFEST.replace("{label: n32,", f"{{label: {label},"))
+        argv = [command, "-c", str(path)]
+        if command == "compare":
+            argv += ["--kind", "theory", "--mode", "free", "-o", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "manifest label must be a name" in capsys.readouterr().err
+        assert files_under(tmp_path) == [Path("manifest.yaml")]
 
     @pytest.mark.parametrize("label", UNUSABLE_LABELS, ids=UNUSABLE_IDS)
     def test_manifest_label_no_file_can_take(self, tmp_path, capsys, label):

@@ -342,6 +342,33 @@ class TestConfigFiles:
         else:
             assert config_from_mapping(dict(RGSSK, snr_db=raw)).snr_grid_db == points
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            '["5", true]',
+            "[0, false]",
+            '{start: "0", stop: 1, step: 1}',
+            "{start: 0, stop: true, step: 1}",
+        ],
+    )
+    def test_snr_of_the_wrong_type_in_file(self, tmp_path, grid):
+        """A string or a boolean is refused, not read as a number of dB."""
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            f"scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\nsnr_db: {grid}\n"
+        )
+        with pytest.raises(ConfigError, match="snr_db values must be numbers"):
+            load_config(path)
+
+    def test_snr_range_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            "scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\n"
+            "snr_db: {start: 0, stop: 2, step: 1, count: 9}\n"
+        )
+        with pytest.raises(ConfigError, match="unknown snr_db range keys: \\['count'\\]"):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\nbogus: 1\n")
@@ -390,6 +417,25 @@ class TestConfigFiles:
         )
         with pytest.raises(ConfigError, match="label"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("label", ["null", "~", "true", "false"])
+    def test_manifest_label_null_or_boolean(self, tmp_path, label):
+        """``str`` would make up the names ``None``, ``True`` and ``False``."""
+        path = tmp_path / "manifest.yaml"
+        path.write_text(
+            "n_elements: 64\nn_rx: 5\nn_active: 2\nsnr_db: [0]\n"
+            f"curves:\n  - {{label: {label}, scheme: mux_psk, mod_order: 8}}\n"
+        )
+        with pytest.raises(ConfigError, match="manifest label must be a name"):
+            load_manifest(path)
+
+    def test_numeric_manifest_labels_name_their_curves(self, tmp_path):
+        path = tmp_path / "manifest.yaml"
+        path.write_text(
+            "n_elements: 64\nn_rx: 5\nn_active: 2\nsnr_db: [0]\nscheme: rgssk\n"
+            "curves: [{label: 7}, {label: 2.5}, {label: '08'}]\n"
+        )
+        assert [label for label, _ in load_manifest(path).entries] == ["7", "2.5", "08"]
 
     def test_label_byte_limit(self):
         """A label fits while its longest output name, ``<label>_theory.csv``,

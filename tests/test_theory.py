@@ -680,8 +680,9 @@ class TestUnionBound:
     @pytest.mark.parametrize(
         "overrides", [{}, SMALL_CODEBOOKS["n3-psk"], LAYOUT_CODEBOOKS["diversity-64"]]
     )
-    def test_one_kernel_call_per_block_kind(self, monkeypatch, overrides):
-        """Every layout's blocks of one kind go through one kernel call."""
+    def test_one_kernel_call_of_coupled_blocks(self, monkeypatch, overrides):
+        """Every layout's kept and swapped blocks go through one kernel call
+        of 4-entry blocks."""
         calls = []
 
         def counted(cov, mean, x):
@@ -691,7 +692,7 @@ class TestUnionBound:
         monkeypatch.setattr(theory, "_block_log_mgf", counted)
         result = union_bound_ber(Codebook(make_config(**overrides)), noise_variance(-10.0))
         assert result.signatures > 2
-        assert sorted(calls) == [2, 4]
+        assert calls == [4]
 
     def test_one_batch_equals_layout_batches(self, codebook):
         """Flattening several layouts into one batch sums what each layout's
