@@ -115,10 +115,8 @@ def _load(args, loader):
     if args.seed is None:
         return loaded
     if hasattr(loaded, "with_overrides"):
-        return loaded.with_overrides(seed=args.seed).validate()
-    entries = tuple(
-        (label, cfg.with_overrides(seed=args.seed).validate()) for label, cfg in loaded.entries
-    )
+        return loaded.with_overrides(seed=args.seed)
+    entries = tuple((label, cfg.with_overrides(seed=args.seed)) for label, cfg in loaded.entries)
     return type(loaded)(entries=entries)
 
 

@@ -2,9 +2,12 @@
 
 A :class:`SystemConfig` fully describes one transmission scheme instance:
 the RIS geometry (element count, grouping), the receive array, the
-modulation, the SNR sweep, and the Monte Carlo controls.  All derived
-quantities (group size, spatial bits, rate, ...) are exposed as properties
-so a validated config can never go stale.
+modulation, the SNR sweep, and the Monte Carlo controls.  Construction,
+from Python or from a config file, is the one check: it raises
+:class:`ConfigError` unless every value has its type and range, so every
+config that exists is valid; :class:`SweepManifest` checks its labels.  All
+derived quantities (group size, spatial bits, rate, ...) are exposed as
+properties so a config can never go stale.
 """
 
 from __future__ import annotations
@@ -44,11 +47,6 @@ def _is_pow2(value: int) -> bool:
 
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _plain_int(value):
-    # numpy integers become ints; anything else stays for validate to refuse
-    return int(value) if _is_integer(value) else value
 
 
 # largest |snr_db|: past about 3000 dB the noise variance 10**(-snr_db/10)
@@ -119,17 +117,28 @@ class SystemConfig:
     diversity_constellation: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-        if self.snr_grid_db is not None:
-            object.__setattr__(
-                self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db)
-            )
+        # the gate: each raw value's type, then its normal form, then the ranges
+        try:
+            object.__setattr__(self, "scheme", Scheme(self.scheme))
+        except ValueError:
+            names = ", ".join(s.value for s in Scheme)
+            raise ConfigError(f"scheme must be one of {names}, got {self.scheme!r}") from None
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # numpy integers become ints, so equal configs share a fingerprint
+            object.__setattr__(self, name, int(value))
+        energy = self.symbol_energy
+        if isinstance(energy, bool) or not isinstance(energy, numbers.Real):
+            raise ConfigError(f"symbol_energy must be a real number, got {energy!r}")
+        object.__setattr__(self, "symbol_energy", float(energy))
+        object.__setattr__(self, "snr_grid_db", _snr_values(self.snr_grid_db))
+        if self.stagger is not None and not isinstance(self.stagger, bool):
+            raise ConfigError(f"stagger must be true, false or null, got {self.stagger!r}")
         if self.combination_table is not None:
-            object.__setattr__(
-                self,
-                "combination_table",
-                tuple(tuple(map(_plain_int, row)) for row in self.combination_table),
-            )
+            object.__setattr__(self, "combination_table", _table_rows(self.combination_table))
+        self._check_ranges()
 
     # -- derived quantities -------------------------------------------------
 
@@ -180,23 +189,14 @@ class SystemConfig:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> "SystemConfig":
-        """Check every invariant; return self if the config is usable.
+        """Return self: construction already checked every invariant and
+        raised :class:`ConfigError` naming the first one violated."""
+        return self
 
-        Raises
-        ------
-        ConfigError
-            Naming the violated invariant.
-        """
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        energy = self.symbol_energy
-        if isinstance(energy, bool) or not isinstance(energy, numbers.Real):
-            raise ConfigError(f"symbol_energy must be a real number, got {energy!r}")
-        if not math.isfinite(energy):
-            raise ConfigError(f"symbol_energy must be finite, got {energy!r}")
-        grid = self.snr_grid_db or ()
+    def _check_ranges(self) -> None:
+        if not math.isfinite(self.symbol_energy):
+            raise ConfigError(f"symbol_energy must be finite, got {self.symbol_energy!r}")
+        grid = self.snr_grid_db
         if not all(map(math.isfinite, grid)):
             raise ConfigError(f"snr_db values must be finite, got {list(grid)}")
         if any(abs(snr) > _SNR_LIMIT_DB for snr in grid):
@@ -214,25 +214,19 @@ class SystemConfig:
             streams[key] = snr
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.stagger is not None and not isinstance(self.stagger, bool):
-            raise ConfigError(f"stagger must be true, false or null, got {self.stagger!r}")
         if self.n_rx < 2:
             raise ConfigError(f"n_rx must be at least 2, got {self.n_rx}")
         if self.n_active < 1:
             raise ConfigError(f"n_active must be positive, got {self.n_active}")
         if self.n_active > self.n_rx // 2:
-            raise ConfigError(
-                f"n_active={self.n_active} exceeds floor(n_rx/2)={self.n_rx // 2}"
-            )
+            raise ConfigError(f"n_active={self.n_active} exceeds floor(n_rx/2)={self.n_rx // 2}")
         if self.n_elements < 1 or self.n_elements % self.n_active != 0:
             raise ConfigError(
-                f"n_elements={self.n_elements} is not divisible by "
-                f"n_active={self.n_active}"
+                f"n_elements={self.n_elements} is not divisible by n_active={self.n_active}"
             )
         if self.spatial_bits < 1:
             raise ConfigError(
-                f"combination count C({self.n_rx},{self.n_active}) supports "
-                "no spatial bits"
+                f"combination count C({self.n_rx},{self.n_active}) supports no spatial bits"
             )
         if self.symbol_energy <= 0:
             raise ConfigError("symbol_energy must be positive")
@@ -240,23 +234,17 @@ class SystemConfig:
         if self.scheme is Scheme.RGSSK:
             if self.mod_order != 1:
                 raise ConfigError("rgssk carries no modulated symbol; mod_order must be 1")
-        else:
-            if self.mod_order < 2 or not _is_pow2(self.mod_order):
-                raise ConfigError(
-                    f"mod_order={self.mod_order} must be a power of two >= 2"
-                )
+        elif self.mod_order < 2 or not _is_pow2(self.mod_order):
+            raise ConfigError(f"mod_order={self.mod_order} must be a power of two >= 2")
 
         if self.scheme is Scheme.MUX_APSK:
             if not _is_pow2(self.ring_count) or self.ring_count < 2:
-                raise ConfigError(
-                    f"ring_count={self.ring_count} must be a power of two >= 2"
-                )
+                raise ConfigError(f"ring_count={self.ring_count} must be a power of two >= 2")
             if self.ring_count >= self.mod_order:
                 raise ConfigError("ring_count must be smaller than mod_order")
             if self.n_group % self.ring_count != 0:
                 raise ConfigError(
-                    f"ring_count={self.ring_count} does not divide "
-                    f"group size {self.n_group}"
+                    f"ring_count={self.ring_count} does not divide group size {self.n_group}"
                 )
         elif self.scheme is Scheme.DIVERSITY and self.diversity_constellation == "apsk":
             if not _is_pow2(self.ring_count) or not 2 <= self.ring_count < self.mod_order:
@@ -265,14 +253,10 @@ class SystemConfig:
                     f"[2, mod_order), got {self.ring_count}"
                 )
         elif self.ring_count != 1:
-            raise ConfigError(
-                "ring_count is only meaningful for mux_apsk or diversity apsk"
-            )
+            raise ConfigError("ring_count is only meaningful for mux_apsk or diversity apsk")
 
         if self.diversity_constellation not in (None, "psk", "qam", "apsk"):
-            raise ConfigError(
-                f"unknown diversity_constellation {self.diversity_constellation!r}"
-            )
+            raise ConfigError(f"unknown diversity_constellation {self.diversity_constellation!r}")
         if self.scheme is Scheme.DIVERSITY and self.symbol_bits % 2:
             # the default picks square QAM above order 8; square QAM needs an
             # even power-of-two order
@@ -288,15 +272,14 @@ class SystemConfig:
                 )
 
         if self.combination_table is not None:
-            self._validate_table(self.combination_table)
+            self._check_table(self.combination_table)
 
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.max_bit_errors < 1:
             raise ConfigError("max_bit_errors must be positive")
-        return self
 
-    def _validate_table(self, table) -> None:
+    def _check_table(self, table) -> None:
         if len(table) != self.n_combinations:
             raise ConfigError(
                 f"explicit combination table has {len(table)} rows, "
@@ -304,8 +287,6 @@ class SystemConfig:
             )
         seen = set()
         for row in table:
-            if not all(map(_is_integer, row)):
-                raise ConfigError(f"combination_table row {row} has a non-integer antenna index")
             if len(row) != self.n_active:
                 raise ConfigError(f"combination row {row} must list {self.n_active} antennas")
             if any(a < 1 or a > self.n_rx for a in row):
@@ -337,66 +318,83 @@ class SweepManifest:
     entries: tuple[tuple[str, SystemConfig], ...]
 
     def __post_init__(self):
-        labels = [label for label, _ in self.entries]
+        entries = []
+        for label, cfg in self.entries:
+            if isinstance(label, bool) or not isinstance(label, (str, numbers.Real)):
+                # str() would make up names such as None, True or "['a', 'b']"
+                raise ConfigError(f"manifest label must be a name, got {label!r}")
+            entries.append((_checked_label(str(label)), cfg))
+        labels = [label for label, _ in entries]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"manifest labels are not unique: {labels}")
+        object.__setattr__(self, "entries", tuple(entries))
 
 
 # -- config-file schema ------------------------------------------------------
 
-# fields that validate insists are integers, read from their annotations
+# fields that the gate insists are integers, read from their annotations
 _INTEGER_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "int")
 
 # the config file names the SNR grid ``snr_db``; every other key is a field
 _CONFIG_KEYS = {"snr_db" if f.name == "snr_grid_db" else f.name for f in fields(SystemConfig)}
 
 
-def _snr_values(values) -> list[float]:
+def _snr_values(values) -> tuple[float, ...]:
     # float() would read "5" as 5 and true as 1; NaN and infinity are floats
     # and meet the finiteness check instead
-    wrong = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+    try:
+        wrong = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+    except TypeError:
+        raise ConfigError(f"snr_db must be a list of numbers, got {values!r}") from None
     if wrong:
         raise ConfigError(f"snr_db values must be numbers, got {wrong!r}")
-    return [float(v) for v in values]
+    return tuple(float(v) for v in values)
 
 
-def _snr_grid(raw) -> tuple[float, ...]:
-    if isinstance(raw, dict):
-        unknown = raw.keys() - {"start", "stop", "step"}
-        if unknown:
-            raise ConfigError(f"unknown snr_db range keys: {sorted(unknown, key=str)}")
-        missing = {"start", "stop", "step"} - raw.keys()
-        if missing:
-            raise ConfigError(f"snr_db range needs keys start/stop/step, missing {missing}")
-        start, stop, step = _snr_values((raw["start"], raw["stop"], raw["step"]))
-        if not (step > 0 and stop >= start and math.isfinite(stop - start)):
-            raise ConfigError("snr_db range must have step > 0 and a finite stop >= start")
-        # the last point is the largest start + i*step not past stop, with a
-        # tolerance so that a step dividing the span in decimal still reaches it
-        steps = (stop - start) / step + 1e-9
-        count = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
-        # the points ascend, so the first and the last bound them all; refuse
-        # what validate would refuse before building the points
-        last = start + (count - 1) * step if count < math.inf else stop
-        if max(abs(start), abs(last)) > _SNR_LIMIT_DB:
-            raise ConfigError(
-                f"snr_db values must lie within +-{_SNR_LIMIT_DB:g} dB, "
-                f"got a range from {start!r} to {last!r}"
-            )
-        keys = (_snr_stream_key(last) - _snr_stream_key(start)) % 2**32 + 1
-        if count > keys:
-            raise ConfigError(
-                f"snr_db values of the {count}-point range from {start!r} to {last!r} "
-                "round two to the same 0.001 dB step, so they would share every random draw"
-            )
-        return tuple(start + i * step for i in range(count))
-    if isinstance(raw, (list, tuple)):
-        return tuple(_snr_values(raw))
-    raise ConfigError(f"snr_db must be a list or a start/stop/step mapping, got {raw!r}")
+def _table_rows(table) -> tuple[tuple[int, ...], ...]:
+    try:
+        rows = tuple(tuple(row) for row in table)
+    except TypeError:
+        raise ConfigError(f"combination_table must be a list of rows, got {table!r}") from None
+    for row in rows:
+        if not all(map(_is_integer, row)):
+            raise ConfigError(f"combination_table row {row} has a non-integer antenna index")
+    return tuple(tuple(map(int, row)) for row in rows)
+
+
+# the most SNR points that fit one per 0.001 dB step within the limit
+_SNR_POINTS = round(2 * _SNR_LIMIT_DB * 1000) + 1
+
+
+def _snr_grid(raw):
+    if not isinstance(raw, dict):
+        return raw  # a list is checked by the SystemConfig gate like any value
+    unknown = raw.keys() - {"start", "stop", "step"}
+    if unknown:
+        raise ConfigError(f"unknown snr_db range keys: {sorted(unknown, key=str)}")
+    missing = {"start", "stop", "step"} - raw.keys()
+    if missing:
+        raise ConfigError(f"snr_db range needs keys start/stop/step, missing {missing}")
+    start, stop, step = _snr_values((raw["start"], raw["stop"], raw["step"]))
+    if not (step > 0 and stop >= start):
+        raise ConfigError("snr_db range must have step > 0 and stop >= start")
+    # the last point is the largest start + i*step not past stop, with a
+    # tolerance so that a step dividing the span in decimal still reaches it;
+    # the count is checked before any point and before floor, which overflows
+    # on an infinite quotient
+    steps = (stop - start) / step + 1e-9
+    if not steps < _SNR_POINTS:
+        raise ConfigError(
+            f"snr_db values of the range from {start!r} to {stop!r} in steps of {step!r} "
+            f"number more than {_SNR_POINTS}, the most that fit within +-{_SNR_LIMIT_DB:g} dB "
+            "without two in the same 0.001 dB step"
+        )
+    return tuple(start + i * step for i in range(math.floor(steps) + 1))
 
 
 def config_from_mapping(data: dict[str, Any]) -> SystemConfig:
-    """Build and validate a :class:`SystemConfig` from parsed key-value data."""
+    """Build a :class:`SystemConfig`, which checks itself, from parsed
+    key-value data."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping of keys to values")
     unknown = set(data) - _CONFIG_KEYS
@@ -406,10 +404,9 @@ def config_from_mapping(data: dict[str, Any]) -> SystemConfig:
     if "snr_db" in kwargs:
         kwargs["snr_grid_db"] = _snr_grid(kwargs.pop("snr_db"))
     try:
-        cfg = SystemConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return SystemConfig(**kwargs)
+    except TypeError as exc:  # a required key is missing
         raise ConfigError(str(exc)) from exc
-    return cfg.validate()
 
 
 # libyaml's parser when PyYAML was built with it; both loaders construct
@@ -482,11 +479,7 @@ def _manifest_from_mapping(data) -> SweepManifest:
     for item in curves:
         if not isinstance(item, dict) or "label" not in item:
             raise ConfigError("each manifest curve needs a 'label'")
-        if item["label"] is None or isinstance(item["label"], bool):
-            # str() would make up the names None and True
-            raise ConfigError(f"manifest label must be a name, got {item['label']!r}")
-        label = _checked_label(str(item["label"]))
         merged = dict(shared)
         merged.update({k: v for k, v in item.items() if k != "label"})
-        entries.append((label, config_from_mapping(merged)))
+        entries.append((item["label"], config_from_mapping(merged)))
     return SweepManifest(entries=tuple(entries))

@@ -169,7 +169,7 @@ class Codeword:
 
 
 class Codebook:
-    """All ``2**rate`` codewords of a validated config.
+    """All ``2**rate`` codewords of a config.
 
     Attributes
     ----------
@@ -186,7 +186,6 @@ class Codebook:
     """
 
     def __init__(self, config: SystemConfig):
-        config.validate()
         self.config = config
         self.combinations = build_combination_table(config)
         self._build_symbols()

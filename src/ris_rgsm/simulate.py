@@ -180,7 +180,6 @@ def run_simulation(config: SystemConfig, *, workers: int = 1, label: str = "") -
     stops at ``config.trials`` or once ``config.max_bit_errors`` accumulate,
     whichever comes first.  Results are identical for any ``workers``.
     """
-    config.validate()
     if not config.snr_grid_db:
         raise ConfigError("config has an empty snr grid")
     block = default_block_size(config)
@@ -207,7 +206,6 @@ def run_simulation(config: SystemConfig, *, workers: int = 1, label: str = "") -
 
 def run_theory(config: SystemConfig, *, label: str = "") -> BerCurve:
     """Union-bound sweep over the config's SNR grid."""
-    config.validate()
     if not config.snr_grid_db:
         raise ConfigError("config has an empty snr grid")
     # refused from the rate alone: the codebook of a refused rate can need gigabytes

@@ -590,3 +590,18 @@ def test_readme_library_surface_resolves():
     for name, arg in calls:
         assert arg in inspect.signature(found[name]).parameters, f"{name}({arg})"
     assert {"detector.ml_argmin", "detector.hypothesis_matrix", "transmit"} <= found.keys()
+
+
+@pytest.mark.parametrize("label", ["[a, b]", "{x: 1}"], ids=["list", "mapping"])
+@pytest.mark.parametrize("command", ["validate-config", "simulate", "theory", "compare"])
+def test_list_or_mapping_label_exits_two(tmp_path, capsys, command, label):
+    """A label that is a list or a mapping names no file; the manifest is
+    refused before its valid first curve runs."""
+    path = tmp_path / "manifest.yaml"
+    path.write_text(MANIFEST.replace("{label: n32,", f"{{label: {label},"))
+    argv = [command, "-c", str(path)]
+    if command != "validate-config":
+        argv += ["-o", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert files_under(tmp_path) == [Path("manifest.yaml")]

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_rgsm import ConfigError, Scheme, SystemConfig, load_config, load_manifest
+from ris_rgsm import ConfigError, Scheme, SweepManifest, SystemConfig, load_config, load_manifest
 from ris_rgsm.config import (
     _SNR_LIMIT_DB,
     _checked_label,
@@ -302,8 +303,8 @@ class TestConfigFiles:
             load_config(path)
 
     def test_fine_snr_range_refused_before_its_points(self, tmp_path):
-        """A million-point range inside 1 dB is refused from its first and last
-        point alone, without building the points."""
+        """A million-point range inside 1 dB is refused from its point count
+        alone, without building the points."""
         path = tmp_path / "cfg.yaml"
         path.write_text(
             "scheme: rgssk\nn_elements: 16\nn_rx: 4\nn_active: 2\n"
@@ -329,8 +330,8 @@ class TestConfigFiles:
         step=st.one_of(st.floats(0.0005, 0.01), st.sampled_from([0.001, 0.002, 0.1])),
     )
     def test_snr_range_refusals_match_validate(self, start, span, step):
-        """A range is refused before its points are built exactly when
-        validate would refuse the built points."""
+        """A range is refused exactly when the gate refuses its built points,
+        and a range it accepts is exactly those points."""
         raw = {"start": start, "stop": start + span, "step": step}
         count = math.floor((raw["stop"] - start) / step + 1e-9) + 1
         points = tuple(start + i * step for i in range(count))
@@ -445,3 +446,99 @@ class TestConfigFiles:
         for too_long in ("x" * 245, "é" * 123):
             with pytest.raises(ConfigError, match="at most 255 bytes"):
                 _checked_label(too_long)
+
+
+# raw values of the kinds that a config file or a caller may pass: plain and
+# numpy integers, and values of the wrong type or out of range
+NUMPY_INTEGERS = st.sampled_from([np.int64(4), np.int32(2), np.uint8(3), np.int16(-5)])
+NOT_INTEGERS = st.sampled_from([4.0, 4.5, True, "4", None])
+SNR_VALUES = st.one_of(st.floats(-20, 20), st.integers(-20, 20), NUMPY_INTEGERS)
+WRONG_SNR_VALUES = st.one_of(
+    st.floats(-4000, 4000),
+    st.just(float("nan")),
+    st.just(-float("inf")),
+    st.text(max_size=2),
+    st.booleans(),
+)
+N_RX = st.one_of(st.sampled_from([4, np.int64(4), np.uint8(4)]), st.integers(1, 6), NOT_INTEGERS)
+SEEDS = st.one_of(st.integers(-2, 9), st.sampled_from([np.uint32(7), np.int64(0)]), NOT_INTEGERS)
+
+
+@st.composite
+def raw_configs(draw):
+    """Raw keyword values for the RGSSK config, and its SNR list."""
+    values = dict(RGSSK, n_rx=draw(N_RX), seed=draw(SEEDS))
+    if draw(st.booleans()):
+        table = [
+            [draw(st.sampled_from([a, np.int64(a), np.int32(a)])) for a in row]
+            for row in ((1, 2), (1, 3), (1, 4), (2, 3))
+        ]
+        if draw(st.booleans()):
+            table[draw(st.integers(0, 3))][draw(st.integers(0, 1))] = draw(NOT_INTEGERS)
+        values["combination_table"] = table
+    snr = draw(st.lists(SNR_VALUES, max_size=4))
+    if draw(st.booleans()):
+        snr.insert(draw(st.integers(0, len(snr))), draw(WRONG_SNR_VALUES))
+    return values, snr
+
+
+def built_or_refused(build):
+    try:
+        return build()
+    except ConfigError:
+        return None
+
+
+class TestOneGate:
+    """Construction checks every config, whichever path its values took."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=raw_configs())
+    def test_library_and_file_paths_agree(self, raw):
+        values, snr = raw
+        library = built_or_refused(lambda: SystemConfig(**values, snr_grid_db=snr))
+        from_file = built_or_refused(lambda: config_from_mapping(dict(values, snr_db=snr)))
+        assert (library is None) == (from_file is None)
+        if library is not None:
+            assert library == from_file
+            assert library.fingerprint("v") == from_file.fingerprint("v")
+
+    def test_numpy_integers_share_the_fingerprint(self):
+        plain = SystemConfig(**RGSSK, seed=7)
+        numpy = SystemConfig(**dict(RGSSK, n_rx=np.int64(4)), seed=np.uint32(7))
+        assert numpy == plain and hash(numpy) == hash(plain)
+        assert numpy.fingerprint("v") == plain.fingerprint("v")
+        assert type(numpy.n_rx) is int and type(numpy.seed) is int
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("scheme", "bogus", "scheme must be one of diversity, mux_psk, mux_apsk, rgssk"),
+            ("combination_table", 5, "combination_table"),
+            ("combination_table", [1, 2, 3, 4], "combination_table"),
+            ("snr_grid_db", ("5", True), "snr_db values must be numbers"),
+            ("snr_grid_db", 5, "snr_db"),
+        ],
+    )
+    def test_library_refusals_are_config_errors(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            SystemConfig(**dict(RGSSK, **{field: value}))
+
+    def test_overrides_pass_the_gate(self):
+        cfg = SystemConfig(**RGSSK)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            cfg.with_overrides(seed=-1)
+        with pytest.raises(ConfigError, match="n_active=3 exceeds"):
+            replace(cfg, n_active=3)
+
+    @pytest.mark.parametrize("label", ["../x", None, ["a"], "plotdata"])
+    def test_library_manifest_labels_refused(self, label):
+        with pytest.raises(ConfigError, match="label"):
+            SweepManifest(entries=((label, SystemConfig(**RGSSK)),))
+
+    def test_library_manifest_numeric_labels_name_their_curves(self):
+        cfg = SystemConfig(**RGSSK)
+        manifest = SweepManifest(entries=((7, cfg), (2.5, cfg), ("08", cfg)))
+        assert [label for label, _ in manifest.entries] == ["7", "2.5", "08"]
+        with pytest.raises(ConfigError, match="unique"):
+            SweepManifest(entries=((7, cfg), ("7", cfg)))
